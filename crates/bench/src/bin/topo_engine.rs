@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bench::common::out_dir;
-use dcesim::batch::{run_net_batch, NetBatchConfig};
+use dcesim::batch::{run_batch, NetBatchConfig};
 use dcesim::faults::FaultConfig;
 use dcesim::net::{NetConfig, NetReport, NetSim};
 use dcesim::sched::Scheduler;
@@ -152,7 +152,7 @@ fn check_batch_equivalence(failures: &mut Vec<String>, spec: &TopoSpec, senders:
         base.scheduler = scheduler;
         base.faults = fault_plan();
         let cfg = NetBatchConfig::quick(base, 4);
-        let report = run_net_batch(&cfg);
+        let report = run_batch(&cfg);
         let out: Vec<(u64, NetReport)> =
             report.completed().map(|(seed, r)| (seed, r.clone())).collect();
         parkit::set_threads(0);

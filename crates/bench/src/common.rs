@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use bcn::simulate::{fluid_trajectory, FluidOptions};
 use bcn::{BcnFluid, BcnParams};
 use plotkit::{Series, SvgPlot};
-use telemetry::{fmt_num, parse_scalars, Scalar};
+use telemetry::{field, fmt_num, parse_scalars, Scalar};
 
 /// Where artifacts go: `$DCE_BCN_RESULTS` or `./results`.
 #[must_use]
@@ -140,7 +140,7 @@ impl GridCheckpoint {
                 let found = lines
                     .next()
                     .and_then(|l| parse_scalars(l).ok())
-                    .and_then(|f| Self::field(&f, "digest").cloned())
+                    .and_then(|f| field(&f, "digest").ok().cloned())
                     .and_then(|s| s.as_u64("digest").ok());
                 if found != Some(digest) {
                     return Err(std::io::Error::other(format!(
@@ -153,7 +153,7 @@ impl GridCheckpoint {
                     // A torn tail line is the point the crash caught
                     // mid-write: skip it and it re-runs.
                     let Ok(fields) = parse_scalars(line) else { continue };
-                    let Some(key) = Self::field(&fields, "key").and_then(|s| s.as_str("key").ok())
+                    let Some(key) = field(&fields, "key").ok().and_then(|s| s.as_str("key").ok())
                     else {
                         continue;
                     };
@@ -179,12 +179,6 @@ impl GridCheckpoint {
     #[must_use]
     pub fn restored_len(&self) -> usize {
         self.restored.len()
-    }
-
-    /// Looks `key` up in a parsed record.
-    #[must_use]
-    pub fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Durably appends a completed grid point (one flat-JSONL line,
@@ -268,9 +262,9 @@ mod tests {
         let ck = GridCheckpoint::open_in(&dir, "demo", digest).unwrap();
         assert_eq!(ck.restored_len(), 1);
         let fields = ck.restored("loss=0.2").unwrap();
-        let mq = GridCheckpoint::field(fields, "max_queue").unwrap();
+        let mq = field(fields, "max_queue").unwrap();
         assert_eq!(mq.as_f64("max_queue").unwrap().to_bits(), 1.25e6_f64.to_bits());
-        assert!(!GridCheckpoint::field(fields, "stable").unwrap().as_bool("stable").unwrap());
+        assert!(!field(fields, "stable").unwrap().as_bool("stable").unwrap());
         assert!(ck.restored("loss=0.5").is_none());
         drop(ck);
 

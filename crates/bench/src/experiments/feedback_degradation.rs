@@ -133,8 +133,8 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
             let key = format!("loss={loss},delay_us={delay_us}");
             let point = if let Some(fields) = ckpt.as_ref().and_then(|c| c.restored(&key)) {
                 let get = |k: &str| {
-                    GridCheckpoint::field(fields, k)
-                        .ok_or_else(|| format!("checkpoint point `{key}` lacks field `{k}`"))
+                    telemetry::field(fields, k)
+                        .map_err(|_| format!("checkpoint point `{key}` lacks field `{k}`"))
                 };
                 Point {
                     loss,

@@ -12,12 +12,11 @@ use bcn::stability::{
 use bcn::transient;
 use bcn::{linear_baseline, BcnFluid, BcnParams};
 use dcesim::batch::{
-    run_batch, run_batch_checkpointed, run_net_batch, run_net_batch_checkpointed, seeded_config,
-    BatchConfig, NetBatchConfig, PANIC_AFTER_STEPS,
+    run_batch, run_batch_checkpointed, seeded_config, BatchConfig, BatchReport, NetBatchConfig,
+    ReportOf, SeedBatch, PANIC_AFTER_STEPS,
 };
 use dcesim::checkpoint::{
     encode_replay_context, replay_spec_from_postmortem, sim_config_digest, BatchCheckpoint,
-    NetBatchCheckpoint,
 };
 use dcesim::faults::FaultCounts;
 use dcesim::hybrid::{HybridSim, HybridSpec, HybridStats};
@@ -642,18 +641,8 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
     if let Some(v) = flags.get_f64("rate-jitter")? {
         cfg.rate_jitter_frac = v;
     }
-    if let Some(v) = flags.get_usize("max-seed-events")? {
-        if v == 0 {
-            return Err(CliError::Usage("--max-seed-events must be positive".into()));
-        }
-        cfg.max_events_per_seed = Some(v as u64);
-    }
-    if let Some(v) = flags.get_usize("seed-deadline-ms")? {
-        if v == 0 {
-            return Err(CliError::Usage("--seed-deadline-ms must be positive".into()));
-        }
-        cfg.max_seed_wall_ms = Some(v as u64);
-    }
+    cfg.validate_jitter()?;
+    (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog_flags(&flags)?;
     if let Some(v) = flags.get_usize("seed-retries")? {
         cfg.max_seed_retries = u32::try_from(v)
             .map_err(|_| CliError::Usage("--seed-retries is out of range".into()))?;
@@ -661,35 +650,7 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
     if let Some(v) = flags.get_usize("retry-backoff-ms")? {
         cfg.retry_backoff_ms = v as u64;
     }
-    let resume = flags.get_bool("resume");
-    let checkpoint_dir = flags.get("checkpoint-dir").map(ToString::to_string);
-    if resume && checkpoint_dir.is_none() {
-        return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
-    }
-    let mut report = match &checkpoint_dir {
-        Some(dir) => {
-            let dir = std::path::Path::new(dir);
-            let ck = if resume {
-                BatchCheckpoint::resume(dir, &cfg)
-            } else {
-                BatchCheckpoint::create(dir, &cfg)
-            }
-            .map_err(|e| CliError::Batch(e.to_string()))?;
-            let restored = ck.restored_seeds().len() as u64;
-            let mut report =
-                run_batch_checkpointed(&cfg, &ck).map_err(|e| CliError::Batch(e.to_string()))?;
-            // The runner never folds `resumed` into the merged report —
-            // that would make a resumed run's artifacts differ from an
-            // uninterrupted one. Only this process's rendering copy
-            // learns how many seeds it skipped.
-            report.supervisor.resumed = restored;
-            report
-        }
-        None => run_batch(&cfg),
-    };
-    if let Some(tel) = report.telemetry.as_mut() {
-        tel.batch_supervision(report.supervisor.resumed, 0, 0);
-    }
+    let report = run_checkpointed(&flags, &cfg)?;
     let postmortem_dir = flags.get("postmortem-dir").unwrap_or("results").to_string();
 
     let mut out = String::new();
@@ -735,26 +696,13 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
         ]);
     }
     let _ = write!(out, "{table}");
-    let failures: Vec<(u64, String)> = report.failures().map(|(s, c)| (s, c.to_string())).collect();
-    if !failures.is_empty() {
-        let _ = writeln!(out, "quarantined {} of {n_seeds} seeds:", failures.len());
-        for (seed, cause) in &failures {
-            let _ = writeln!(out, "  seed {seed}: {cause}");
-        }
-    }
-    let timed_out: Vec<(u64, u64)> = report.timed_out().collect();
-    if !timed_out.is_empty() {
-        let _ = writeln!(out, "watchdog demoted {} of {n_seeds} seeds:", timed_out.len());
-        for (seed, events) in &timed_out {
-            let _ = writeln!(out, "  seed {seed}: timed out after {events} events");
-        }
-    }
     // Crash flight recorder: each quarantined or watchdog-demoted seed
     // that salvaged a telemetry shard gets a postmortem dump — the trace
     // ring's last events, the open-span stack ("what was running"), the
     // failure cause, and the seeded configuration + fault plan needed by
     // `dcebcn replay`, as JSONL behind the same schema header the
     // `report` command checks.
+    let mut dumps = String::new();
     for (seed, cause, tel) in report.postmortems() {
         let Some(tel) = tel else { continue };
         let scfg = seeded_config(&cfg, seed);
@@ -765,16 +713,9 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
         std::fs::write(&path, &body).or_else(|_| {
             std::fs::create_dir_all(&postmortem_dir).and_then(|()| std::fs::write(&path, &body))
         })?;
-        let _ = writeln!(out, "  wrote {path}");
+        let _ = writeln!(dumps, "  wrote {path}");
     }
-    let sup = report.supervisor;
-    if sup.resumed + sup.retried + sup.timed_out > 0 {
-        let _ = writeln!(
-            out,
-            "supervision: {} seed(s) restored from checkpoint, {} retrie(s), {} timed out",
-            sup.resumed, sup.retried, sup.timed_out
-        );
-    }
+    let verdict = render_supervision(&report, &dumps, flags.get_bool("fail-fast"), &mut out);
     if !utils.is_empty() {
         let (lo, hi) = utils
             .iter()
@@ -789,23 +730,111 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
     if let Some(tel) = &report.telemetry {
         out.push_str(&render_summary(tel));
     }
-    if flags.get_bool("fail-fast") {
-        if !failures.is_empty() {
-            let (seed, cause) = &failures[0];
-            return Err(CliError::Batch(format!(
-                "{} of {n_seeds} seeds failed (first: seed {seed}: {cause})",
-                failures.len()
-            )));
+    verdict.map(|()| out)
+}
+
+/// The watchdog flags both batch engines share: the per-seed event
+/// budget (`--max-seed-events`) and wall-clock deadline
+/// (`--seed-deadline-ms`), each positive when given.
+fn watchdog_flags(flags: &Flags) -> Result<(Option<u64>, Option<u64>), CliError> {
+    let positive = |name: &str| match flags.get_usize(name)? {
+        Some(0) => Err(CliError::Usage(format!("--{name} must be positive"))),
+        v => Ok(v.map(|v| v as u64)),
+    };
+    Ok((positive("max-seed-events")?, positive("seed-deadline-ms")?))
+}
+
+/// Runs a batch on either engine, through a checkpoint directory when
+/// `--checkpoint-dir` is given: a fresh one, or under `--resume` the
+/// existing one, whose acknowledged seeds are restored instead of
+/// re-run. The merged telemetry learns how many seeds were restored.
+fn run_checkpointed<B: SeedBatch>(
+    flags: &Flags,
+    cfg: &B,
+) -> Result<BatchReport<ReportOf<B>>, CliError> {
+    let resume = flags.get_bool("resume");
+    let checkpoint_dir = flags.get("checkpoint-dir");
+    if resume && checkpoint_dir.is_none() {
+        return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
+    }
+    let mut report = match checkpoint_dir {
+        Some(dir) => {
+            let dir = std::path::Path::new(dir);
+            let ck = if resume {
+                BatchCheckpoint::resume(dir, cfg)
+            } else {
+                BatchCheckpoint::create(dir, cfg)
+            }
+            .map_err(|e| CliError::Batch(e.to_string()))?;
+            let restored = ck.restored_seeds().len() as u64;
+            let mut report =
+                run_batch_checkpointed(cfg, &ck).map_err(|e| CliError::Batch(e.to_string()))?;
+            // The runner never folds `resumed` into the merged report —
+            // that would make a resumed run's artifacts differ from an
+            // uninterrupted one. Only this process's rendering copy
+            // learns how many seeds it skipped.
+            report.supervisor.resumed = restored;
+            report
         }
-        if !timed_out.is_empty() {
-            let (seed, events) = timed_out[0];
-            return Err(CliError::Timeout(format!(
-                "{} of {n_seeds} seeds hit the watchdog (first: seed {seed} after {events} events)",
-                timed_out.len()
-            )));
+        None => run_batch(cfg),
+    };
+    if let Some(tel) = report.telemetry.as_mut() {
+        tel.batch_supervision(report.supervisor.resumed, 0, 0);
+    }
+    Ok(report)
+}
+
+/// Renders a batch's quarantined and watchdog-demoted seeds, the
+/// postmortem lines `dumps`, and the supervision tallies. Returns the
+/// `--fail-fast` verdict for the caller to apply once its artifacts are
+/// written: failed seeds raise [`CliError::Batch`], and — when none
+/// failed — demoted seeds raise [`CliError::Timeout`].
+fn render_supervision<R>(
+    report: &BatchReport<R>,
+    dumps: &str,
+    fail_fast: bool,
+    out: &mut String,
+) -> Result<(), CliError> {
+    let n_seeds = report.seeds.len();
+    let failures: Vec<(u64, &str)> = report.failures().collect();
+    if !failures.is_empty() {
+        let _ = writeln!(out, "quarantined {} of {n_seeds} seeds:", failures.len());
+        for (seed, cause) in &failures {
+            let _ = writeln!(out, "  seed {seed}: {cause}");
         }
     }
-    Ok(out)
+    let timed_out: Vec<(u64, u64)> = report.timed_out().collect();
+    if !timed_out.is_empty() {
+        let _ = writeln!(out, "watchdog demoted {} of {n_seeds} seeds:", timed_out.len());
+        for (seed, events) in &timed_out {
+            let _ = writeln!(out, "  seed {seed}: timed out after {events} events");
+        }
+    }
+    out.push_str(dumps);
+    let sup = report.supervisor;
+    if sup.resumed + sup.retried + sup.timed_out > 0 {
+        let _ = writeln!(
+            out,
+            "supervision: {} seed(s) restored from checkpoint, {} retrie(s), {} timed out",
+            sup.resumed, sup.retried, sup.timed_out
+        );
+    }
+    if !fail_fast {
+        return Ok(());
+    }
+    if let Some((seed, cause)) = failures.first() {
+        return Err(CliError::Batch(format!(
+            "{} of {n_seeds} seeds failed (first: seed {seed}: {cause})",
+            failures.len()
+        )));
+    }
+    if let Some((seed, events)) = timed_out.first() {
+        return Err(CliError::Timeout(format!(
+            "{} of {n_seeds} seeds hit the watchdog (first: seed {seed} after {events} events)",
+            timed_out.len()
+        )));
+    }
+    Ok(())
 }
 
 /// `dcebcn batch --topo ...`: a multi-seed fabric batch under the
@@ -845,45 +874,9 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
     if let Some(v) = flags.get_f64("rate-jitter")? {
         cfg.rate_jitter_frac = v;
     }
-    if let Some(v) = flags.get_usize("max-seed-events")? {
-        if v == 0 {
-            return Err(CliError::Usage("--max-seed-events must be positive".into()));
-        }
-        cfg.max_events_per_seed = Some(v as u64);
-    }
-    if let Some(v) = flags.get_usize("seed-deadline-ms")? {
-        if v == 0 {
-            return Err(CliError::Usage("--seed-deadline-ms must be positive".into()));
-        }
-        cfg.max_seed_wall_ms = Some(v as u64);
-    }
-    let resume = flags.get_bool("resume");
-    let checkpoint_dir = flags.get("checkpoint-dir").map(ToString::to_string);
-    if resume && checkpoint_dir.is_none() {
-        return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
-    }
-    let mut report = match &checkpoint_dir {
-        Some(dir) => {
-            let dir = std::path::Path::new(dir);
-            let ck = if resume {
-                NetBatchCheckpoint::resume(dir, &cfg)
-            } else {
-                NetBatchCheckpoint::create(dir, &cfg)
-            }
-            .map_err(|e| CliError::Batch(e.to_string()))?;
-            let restored = ck.restored_seeds().len() as u64;
-            let mut report = run_net_batch_checkpointed(&cfg, &ck)
-                .map_err(|e| CliError::Batch(e.to_string()))?;
-            // As in the single-bottleneck runner: only the rendering
-            // copy learns how many seeds the checkpoint restored.
-            report.supervisor.resumed = restored;
-            report
-        }
-        None => run_net_batch(&cfg),
-    };
-    if let Some(tel) = report.telemetry.as_mut() {
-        tel.batch_supervision(report.supervisor.resumed, 0, 0);
-    }
+    cfg.validate_jitter()?;
+    (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog_flags(flags)?;
+    let report = run_checkpointed(flags, &cfg)?;
     let (hosts, switches, n_flows) =
         (cfg.base.hosts, cfg.base.switches.len(), cfg.base.flows.len());
     let mut out = String::new();
@@ -927,28 +920,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
         csv.row(&[seed as f64, delivered, dropped as f64, delivered / t_end, pauses as f64, max_q]);
     }
     let _ = write!(out, "{table}");
-    let failures: Vec<(u64, String)> = report.failures().map(|(s, c)| (s, c.to_string())).collect();
-    if !failures.is_empty() {
-        let _ = writeln!(out, "quarantined {} of {n_seeds} seeds:", failures.len());
-        for (seed, cause) in &failures {
-            let _ = writeln!(out, "  seed {seed}: {cause}");
-        }
-    }
-    let timed_out: Vec<(u64, u64)> = report.timed_out().collect();
-    if !timed_out.is_empty() {
-        let _ = writeln!(out, "watchdog demoted {} of {n_seeds} seeds:", timed_out.len());
-        for (seed, events) in &timed_out {
-            let _ = writeln!(out, "  seed {seed}: timed out after {events} events");
-        }
-    }
-    let sup = report.supervisor;
-    if sup.resumed + sup.timed_out > 0 {
-        let _ = writeln!(
-            out,
-            "supervision: {} seed(s) restored from checkpoint, {} timed out",
-            sup.resumed, sup.timed_out
-        );
-    }
+    let verdict = render_supervision(&report, "", flags.get_bool("fail-fast"), &mut out);
     if let Some(path) = flags.get("out") {
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path}");
@@ -956,23 +928,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
     if let Some(tel) = &report.telemetry {
         out.push_str(&render_summary(tel));
     }
-    if flags.get_bool("fail-fast") {
-        if !failures.is_empty() {
-            let (seed, cause) = &failures[0];
-            return Err(CliError::Batch(format!(
-                "{} of {n_seeds} seeds failed (first: seed {seed}: {cause})",
-                failures.len()
-            )));
-        }
-        if !timed_out.is_empty() {
-            let (seed, events) = timed_out[0];
-            return Err(CliError::Timeout(format!(
-                "{} of {n_seeds} seeds hit the watchdog (first: seed {seed} after {events} events)",
-                timed_out.len()
-            )));
-        }
-    }
-    Ok(out)
+    verdict.map(|()| out)
 }
 
 /// Renders one quarantined seed's flight recorder as JSONL: the schema
@@ -1714,6 +1670,20 @@ mod tests {
         assert!(batch(&argv("--seeds 0")).is_err());
     }
 
+    #[test]
+    fn batch_rejects_bad_jitter_as_a_config_error() {
+        for (jitter, field) in [
+            ("--start-jitter -0.01", "start_jitter_secs"),
+            ("--start-jitter inf", "start_jitter_secs"),
+            ("--rate-jitter 3", "rate_jitter_frac"),
+        ] {
+            let err = batch(&argv(&format!("--seeds 2 --t-end 0.01 {jitter}"))).unwrap_err();
+            assert!(matches!(&err, CliError::Sim(e) if e.field == field), "{jitter}: {err}");
+        }
+        let err = batch(&argv(&format!("{FAST_TOPO} --seeds 2 --rate-jitter 3"))).unwrap_err();
+        assert!(matches!(&err, CliError::Sim(e) if e.field == "rate_jitter_frac"), "{err}");
+    }
+
     const FAST_SIM: &str = "--n 5 --capacity 1e9 --q0 1e6 --buffer 8e6 --qsc 7.2e6 --ru 1e4 \
                             --gi 1.2 --gd 0.00006103515625 --pm 0.2 --w 3e5 --t-end 0.02";
 
@@ -2088,40 +2058,46 @@ mod tests {
 
     #[test]
     fn batch_checkpoint_resume_reproduces_the_artifact_byte_for_byte() {
-        let dir = std::env::temp_dir().join(format!("dcebcn_cli_ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let clean_csv = dir.join("clean.csv");
-        let resumed_csv = dir.join("resumed.csv");
-        let ckpt = dir.join("ckpt");
+        // Both engines share one checkpoint path.
+        for (tag, scenario, title) in
+            [("sim", FAST_SIM, "batch: 4 seeds"), ("net", FAST_TOPO, "fabric batch: 4 seeds")]
+        {
+            let dir =
+                std::env::temp_dir().join(format!("dcebcn_cli_ckpt-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let clean_csv = dir.join("clean.csv");
+            let resumed_csv = dir.join("resumed.csv");
+            let ckpt = dir.join("ckpt");
 
-        let clean =
-            batch(&argv(&format!("{FAST_SIM} --seeds 4 --out {}", clean_csv.display()))).unwrap();
-        assert!(clean.contains("batch: 4 seeds"), "{clean}");
+            let clean =
+                batch(&argv(&format!("{scenario} --seeds 4 --out {}", clean_csv.display())))
+                    .unwrap();
+            assert!(clean.contains(title), "{clean}");
 
-        // First pass populates the checkpoint; a --resume pass restores
-        // every seed without re-running and writes the identical CSV.
-        batch(&argv(&format!("{FAST_SIM} --seeds 4 --checkpoint-dir {}", ckpt.display()))).unwrap();
-        let resumed = batch(&argv(&format!(
-            "{FAST_SIM} --seeds 4 --checkpoint-dir {} --resume --out {}",
-            ckpt.display(),
-            resumed_csv.display()
-        )))
-        .unwrap();
-        assert!(resumed.contains("supervision: 4 seed(s) restored from checkpoint"), "{resumed}");
-        assert_eq!(
-            std::fs::read_to_string(&clean_csv).unwrap(),
-            std::fs::read_to_string(&resumed_csv).unwrap()
-        );
+            // First pass populates the checkpoint; a --resume pass
+            // restores every seed without re-running and writes the
+            // identical CSV.
+            let first = format!("{scenario} --seeds 4 --checkpoint-dir {}", ckpt.display());
+            batch(&argv(&first)).unwrap();
+            let resumed =
+                batch(&argv(&format!("{first} --resume --out {}", resumed_csv.display()))).unwrap();
+            assert!(
+                resumed.contains("supervision: 4 seed(s) restored from checkpoint"),
+                "{resumed}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&clean_csv).unwrap(),
+                std::fs::read_to_string(&resumed_csv).unwrap()
+            );
 
-        // Re-creating over an existing manifest is refused; --resume
-        // without a directory is a usage error.
-        let err =
-            batch(&argv(&format!("{FAST_SIM} --seeds 4 --checkpoint-dir {}", ckpt.display())))
-                .unwrap_err();
-        assert!(matches!(err, CliError::Batch(_)), "{err}");
-        assert!(batch(&argv(&format!("{FAST_SIM} --seeds 4 --resume"))).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+            // Re-creating over an existing manifest is refused; --resume
+            // without a directory is a usage error.
+            let err = batch(&argv(&first)).unwrap_err();
+            assert!(matches!(err, CliError::Batch(_)), "{err}");
+            assert!(batch(&argv(&format!("{scenario} --seeds 4 --resume"))).is_err());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2187,35 +2163,6 @@ mod tests {
             trace(&argv(&format!("thm1 {FAST_TOPO}"))).unwrap_err(),
             CliError::Usage(_)
         ));
-    }
-
-    #[test]
-    fn batch_topo_checkpoint_resume_reproduces_the_artifact_byte_for_byte() {
-        let dir = std::env::temp_dir().join(format!("dcebcn_cli_netckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let clean_csv = dir.join("clean.csv");
-        let resumed_csv = dir.join("resumed.csv");
-        let ckpt = dir.join("ckpt");
-
-        let clean =
-            batch(&argv(&format!("{FAST_TOPO} --seeds 3 --out {}", clean_csv.display()))).unwrap();
-        assert!(clean.contains("fabric batch: 3 seeds"), "{clean}");
-
-        batch(&argv(&format!("{FAST_TOPO} --seeds 3 --checkpoint-dir {}", ckpt.display())))
-            .unwrap();
-        let resumed = batch(&argv(&format!(
-            "{FAST_TOPO} --seeds 3 --checkpoint-dir {} --resume --out {}",
-            ckpt.display(),
-            resumed_csv.display()
-        )))
-        .unwrap();
-        assert!(resumed.contains("supervision: 3 seed(s) restored from checkpoint"), "{resumed}");
-        assert_eq!(
-            std::fs::read_to_string(&clean_csv).unwrap(),
-            std::fs::read_to_string(&resumed_csv).unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -31,10 +31,16 @@
 //!   finished seed through [`crate::checkpoint::BatchCheckpoint`] and
 //!   restores acknowledged seeds bit-exactly on resume, so the merged
 //!   report after a crash equals an uninterrupted run byte for byte.
+//!
+//! One runner supervises both packet engines. [`BatchConfig`] (the
+//! single-bottleneck dumbbell, packet or hybrid) and [`NetBatchConfig`]
+//! (a compiled multi-hop fabric) implement [`SeedBatch`]; their engines
+//! implement [`BatchEngine`], and their reports [`SeedReport`].
 
 use telemetry::{SpanKind, Telemetry, TelemetryLevel};
 
-use crate::checkpoint::{BatchCheckpoint, CheckpointError, NetBatchCheckpoint, ReplaySpec};
+use crate::checkpoint::{BatchCheckpoint, CheckpointError, ReplaySpec};
+use crate::error::ConfigError;
 use crate::faults::splitmix64;
 use crate::hybrid::{HybridSim, HybridSpec};
 use crate::net::{NetConfig, NetReport, NetSim};
@@ -105,6 +111,186 @@ impl BatchConfig {
             hybrid: None,
         }
     }
+
+    /// Checks the jitter knobs before any seed runs (see
+    /// [`check_jitter`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the offending knob.
+    pub fn validate_jitter(&self) -> Result<(), ConfigError> {
+        let latest = self.base.flows.iter().map(|f| f.start.as_secs()).fold(0.0, f64::max);
+        check_jitter(self.start_jitter_secs, latest, self.rate_jitter_frac)
+    }
+}
+
+/// The jitter check shared by [`BatchConfig`] and [`NetBatchConfig`].
+/// The start jitter must be finite, non-negative, and keep the latest
+/// jittered start (the base's latest is `latest_start`) inside
+/// [`Time::from_secs`]'s range, which panics otherwise; the rate jitter
+/// must be finite and in `[0, 1]`, so no initial rate turns negative.
+fn check_jitter(
+    start_jitter_secs: f64,
+    latest_start: f64,
+    rate_jitter_frac: f64,
+) -> Result<(), ConfigError> {
+    let representable = (latest_start + start_jitter_secs) * 1e9 <= u64::MAX as f64;
+    if !(start_jitter_secs.is_finite() && start_jitter_secs >= 0.0 && representable) {
+        return Err(ConfigError::new(
+            "start_jitter_secs",
+            format!(
+                "start jitter must be finite, non-negative and keep flow starts inside \
+                 simulated time, got {start_jitter_secs}"
+            ),
+        ));
+    }
+    if !(rate_jitter_frac.is_finite() && (0.0..=1.0).contains(&rate_jitter_frac)) {
+        return Err(ConfigError::new(
+            "rate_jitter_frac",
+            format!("rate jitter must be finite and in [0, 1], got {rate_jitter_frac}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The engine side of batch supervision: a per-seed simulator the runner
+/// can step under the watchdog, hand a telemetry shard, salvage that
+/// shard from mid-run, and finish.
+pub trait BatchEngine: Sized {
+    /// Per-worker scratch, recycled across the seeds a worker runs.
+    type Workspace: Default;
+    /// What a completed seed produces.
+    type Report: SeedReport;
+
+    /// Dispatches one event; `false` once the run is over.
+    fn step(&mut self) -> bool;
+    /// Attaches the seed's telemetry shard.
+    #[must_use]
+    fn with_telemetry_sink(self, tel: Telemetry) -> Self;
+    /// Detaches the telemetry shard mid-run (the flight recorder).
+    fn take_telemetry(&mut self) -> Option<Telemetry>;
+    /// Finalises a drained run into its report.
+    fn finish_into(self, ws: &mut Self::Workspace) -> Self::Report;
+}
+
+/// A completed seed's report as the runner and the checkpoint see it:
+/// its telemetry shard (merged in seed order) and the report-specific
+/// body of its checkpoint shard (see [`crate::checkpoint`]).
+pub trait SeedReport: Sized + Send + std::fmt::Debug {
+    /// The telemetry shard, when a sink was attached.
+    fn telemetry(&self) -> Option<&Telemetry>;
+    /// The telemetry slot, for closing the seed span and for restoring
+    /// a decoded shard.
+    fn telemetry_mut(&mut self) -> &mut Option<Telemetry>;
+    /// Appends every record of the report except its telemetry.
+    fn encode_body(&self, out: &mut String);
+    /// Decodes a body written by [`encode_body`](Self::encode_body),
+    /// consuming exactly its lines; the telemetry slot is left `None`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation or malformed records.
+    fn decode_body<'a, I: Iterator<Item = &'a str>>(lines: &mut I)
+        -> Result<Self, CheckpointError>;
+}
+
+/// A multi-seed batch the supervised runner can execute: the seed list,
+/// the supervision policy, and how to seed and build one run.
+pub trait SeedBatch: Sync {
+    /// One seed's jittered scenario.
+    type Config;
+    /// The engine every seed runs on.
+    type Engine: BatchEngine;
+
+    /// One run per seed, in output order.
+    fn seeds(&self) -> &[u64];
+    /// Telemetry level for every run.
+    fn level(&self) -> TelemetryLevel;
+    /// Seeds that deliberately panic (quarantine test hook).
+    fn panic_seeds(&self) -> &[u64];
+    /// Watchdog event budget and wall-clock deadline (ms) per seed.
+    fn watchdog(&self) -> (Option<u64>, Option<u64>);
+    /// Retry budget and base backoff (ms) for failing seeds.
+    fn retries(&self) -> (u32, u64);
+    /// Simulated horizon of every seed, in seconds (jitter never moves
+    /// it).
+    fn t_end(&self) -> f64;
+    /// The base scenario jittered for `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Bad jitter knobs, as a typed failure rather than a panic.
+    fn seeded(&self, seed: u64) -> Result<Self::Config, ConfigError>;
+    /// Validates a seeded scenario and builds its engine in `ws`.
+    ///
+    /// # Errors
+    ///
+    /// The scenario's validation failure.
+    fn build(
+        &self,
+        cfg: Self::Config,
+        ws: &mut <Self::Engine as BatchEngine>::Workspace,
+    ) -> Result<Self::Engine, ConfigError>;
+    /// Digest of the whole batch, the checkpoint's resume-compatibility
+    /// key.
+    fn digest(&self) -> u64;
+}
+
+/// The report type a [`SeedBatch`]'s seeds complete with.
+pub type ReportOf<B> = <<B as SeedBatch>::Engine as BatchEngine>::Report;
+
+impl SeedBatch for BatchConfig {
+    type Config = SimConfig;
+    type Engine = SeedEngine;
+
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn level(&self) -> TelemetryLevel {
+        self.level
+    }
+
+    fn panic_seeds(&self) -> &[u64] {
+        &self.panic_seeds
+    }
+
+    fn watchdog(&self) -> (Option<u64>, Option<u64>) {
+        (self.max_events_per_seed, self.max_seed_wall_ms)
+    }
+
+    fn retries(&self) -> (u32, u64) {
+        (self.max_seed_retries, self.retry_backoff_ms)
+    }
+
+    fn t_end(&self) -> f64 {
+        self.base.t_end.as_secs()
+    }
+
+    fn seeded(&self, seed: u64) -> Result<SimConfig, ConfigError> {
+        self.validate_jitter()?;
+        Ok(seeded_config(self, seed))
+    }
+
+    fn build(&self, cfg: SimConfig, ws: &mut SimWorkspace) -> Result<SeedEngine, ConfigError> {
+        cfg.validate()?;
+        Ok(match &self.hybrid {
+            Some(spec) => {
+                spec.validate_for(&cfg)?;
+                SeedEngine::Hybrid(Box::new(HybridSim::new_in(
+                    spec.params.clone(),
+                    cfg,
+                    spec.guards,
+                    ws,
+                )))
+            }
+            None => SeedEngine::Packet(Simulation::new_in(cfg, ws)),
+        })
+    }
+
+    fn digest(&self) -> u64 {
+        crate::checkpoint::batch_config_digest(self)
+    }
 }
 
 /// What happened to one seed of a batch.
@@ -113,9 +299,9 @@ impl BatchConfig {
 /// series, so parking it on the heap keeps the outcome vector compact
 /// next to the small `Failed` variant.
 #[derive(Debug)]
-pub enum SeedOutcome {
+pub enum SeedOutcome<R = SimReport> {
     /// The run finished; its report is attached.
-    Completed(Box<SimReport>),
+    Completed(Box<R>),
     /// The run panicked or its configuration was invalid; the seed is
     /// quarantined and the rest of the batch is unaffected.
     Failed {
@@ -124,7 +310,7 @@ pub enum SeedOutcome {
         /// or control characters).
         cause: String,
         /// How many retry attempts were burned before this failure was
-        /// accepted (0 when retries are disabled).
+        /// accepted (0 when retries are disabled, as on fabrics).
         retries: u32,
         /// The flight recorder salvaged from the panicked run: the
         /// telemetry shard as it stood at the moment of the panic —
@@ -160,11 +346,11 @@ pub struct SupervisorStats {
 /// The result of one batch: per-seed outcomes in seed order plus the
 /// merged telemetry aggregate.
 #[derive(Debug)]
-pub struct BatchReport {
+pub struct BatchReport<R = SimReport> {
     /// The seeds, in the order the outcomes are stored.
     pub seeds: Vec<u64>,
     /// One outcome per seed, input order preserved.
-    pub outcomes: Vec<SeedOutcome>,
+    pub outcomes: Vec<SeedOutcome<R>>,
     /// Telemetry shards of the *completed* seeds merged in seed order
     /// (counters added, histograms combined bucket-wise, traces
     /// interleaved by sim time); `None` when the level disables
@@ -176,9 +362,9 @@ pub struct BatchReport {
     pub supervisor: SupervisorStats,
 }
 
-impl BatchReport {
+impl<R> BatchReport<R> {
     /// The seeds that finished, with their reports, in seed order.
-    pub fn completed(&self) -> impl Iterator<Item = (u64, &SimReport)> {
+    pub fn completed(&self) -> impl Iterator<Item = (u64, &R)> {
         self.seeds.iter().zip(&self.outcomes).filter_map(|(&seed, out)| match out {
             SeedOutcome::Completed(report) => Some((seed, report.as_ref())),
             _ => None,
@@ -262,6 +448,11 @@ fn unit(seed: u64, flow: u64, field: u64) -> f64 {
 /// The base scenario perturbed for one seed: every flow's start time and
 /// initial rate jittered deterministically. Seed-stable: the same
 /// `(cfg, seed)` pair always yields the same configuration.
+///
+/// # Panics
+///
+/// Panics on jitter knobs [`BatchConfig::validate_jitter`] rejects (the
+/// batch runner checks them first and fails the seed instead).
 #[must_use]
 pub fn seeded_config(cfg: &BatchConfig, seed: u64) -> SimConfig {
     let mut out = cfg.base.clone();
@@ -289,16 +480,21 @@ enum StepEnd {
     Budget(u64),
 }
 
-/// The engine a supervised seed runs on: the pure packet simulator or
-/// the hybrid co-simulator (boxed — it carries the packet engine plus
-/// the propagator and controller state).
+/// The engine a dumbbell seed runs on: the pure packet simulator or the
+/// hybrid co-simulator (boxed — it carries the packet engine plus the
+/// propagator and controller state).
 #[allow(clippy::large_enum_variant)] // one short-lived engine per seed; no point boxing the common case
-enum SeedEngine {
+pub enum SeedEngine {
+    /// The packet-level simulator.
     Packet(Simulation),
+    /// The hybrid fluid–packet co-simulator.
     Hybrid(Box<HybridSim>),
 }
 
-impl SeedEngine {
+impl BatchEngine for SeedEngine {
+    type Workspace = SimWorkspace;
+    type Report = SimReport;
+
     fn step(&mut self) -> bool {
         match self {
             SeedEngine::Packet(sim) => sim.step(),
@@ -331,34 +527,21 @@ impl SeedEngine {
     }
 }
 
-/// Runs one already-validated seeded configuration under full
-/// supervision: telemetry sink with per-seed span-id base, intentional
-/// panic hook, event budget, and wall-clock deadline. `local` must be
-/// a workspace the caller owns; on non-completion it is left torn and
-/// must be discarded.
+/// Runs one already-built seed engine under full supervision: telemetry
+/// sink with per-seed span-id base, intentional panic hook, event
+/// budget, and wall-clock deadline. `local` must be a workspace the
+/// caller owns; on non-completion it is left torn and must be discarded.
 #[allow(clippy::too_many_arguments)]
-fn run_seeded(
-    sim_cfg: SimConfig,
+fn run_seeded<E: BatchEngine>(
+    mut sim: E,
+    t_end: f64,
     seed: u64,
     level: TelemetryLevel,
-    hybrid: Option<&HybridSpec>,
     panic_after: Option<u64>,
     max_events: Option<u64>,
     max_wall_ms: Option<u64>,
-    local: &mut SimWorkspace,
-) -> SeedOutcome {
-    let t_end = sim_cfg.t_end.as_secs();
-    let mut sim = match hybrid {
-        // The caller pre-validated the spec, so construction cannot
-        // panic on it (and `sim_cfg` itself was validated above).
-        Some(spec) => SeedEngine::Hybrid(Box::new(HybridSim::new_in(
-            spec.params.clone(),
-            sim_cfg,
-            spec.guards,
-            local,
-        ))),
-        None => SeedEngine::Packet(Simulation::new_in(sim_cfg, local)),
-    };
+    local: &mut E::Workspace,
+) -> SeedOutcome<E::Report> {
     let mut seed_span = 0;
     if level.enabled() {
         let mut tel = Telemetry::new(level);
@@ -400,7 +583,7 @@ fn run_seeded(
     match stepped {
         Ok(StepEnd::Done) => {
             let mut report = sim.finish_into(local);
-            if let Some(tel) = report.telemetry.as_mut() {
+            if let Some(tel) = report.telemetry_mut().as_mut() {
                 tel.span_end(t_end, seed_span);
             }
             SeedOutcome::Completed(Box::new(report))
@@ -419,35 +602,40 @@ fn run_seeded(
 /// One seed under the batch's retry policy. The workspace is taken out
 /// for the duration of each attempt so a panicking seed cannot leave
 /// half-torn buffers behind; it is restored only after a completed run.
-fn run_seed_with_retry(cfg: &BatchConfig, seed: u64, ws: &mut SimWorkspace) -> SeedOutcome {
+fn run_seed_with_retry<B: SeedBatch>(
+    cfg: &B,
+    seed: u64,
+    ws: &mut <B::Engine as BatchEngine>::Workspace,
+) -> SeedOutcome<ReportOf<B>> {
+    let (max_retries, backoff_ms) = cfg.retries();
+    let (max_events, max_wall_ms) = cfg.watchdog();
     let mut attempt: u32 = 0;
     loop {
         let mut local = std::mem::take(ws);
-        let sim_cfg = seeded_config(cfg, seed);
-        if let Err(e) = sim_cfg
-            .validate()
-            .and_then(|()| cfg.hybrid.iter().try_for_each(|spec| spec.validate_for(&sim_cfg)))
-        {
-            *ws = local;
-            return SeedOutcome::Failed {
-                cause: sanitize_cause(&e.to_string()),
-                retries: attempt,
-                telemetry: None,
-            };
-        }
+        let sim = match cfg.seeded(seed).and_then(|c| cfg.build(c, &mut local)) {
+            Ok(sim) => sim,
+            Err(e) => {
+                *ws = local;
+                return SeedOutcome::Failed {
+                    cause: sanitize_cause(&e.to_string()),
+                    retries: attempt,
+                    telemetry: None,
+                };
+            }
+        };
         // Known-hazardous seeds get a full flight recorder regardless of
         // the batch level: they always fail, so their shards never reach
         // the merge and the upgrade cannot perturb aggregate telemetry.
-        let panic_after = cfg.panic_seeds.contains(&seed).then_some(PANIC_AFTER_STEPS);
-        let level = if panic_after.is_some() { TelemetryLevel::Full } else { cfg.level };
+        let panic_after = cfg.panic_seeds().contains(&seed).then_some(PANIC_AFTER_STEPS);
+        let level = if panic_after.is_some() { TelemetryLevel::Full } else { cfg.level() };
         let outcome = run_seeded(
-            sim_cfg,
+            sim,
+            cfg.t_end(),
             seed,
             level,
-            cfg.hybrid.as_ref(),
             panic_after,
-            cfg.max_events_per_seed,
-            cfg.max_seed_wall_ms,
+            max_events,
+            max_wall_ms,
             &mut local,
         );
         match outcome {
@@ -459,14 +647,14 @@ fn run_seed_with_retry(cfg: &BatchConfig, seed: u64, ws: &mut SimWorkspace) -> S
             // reproduce it exactly, so don't burn the attempts.
             SeedOutcome::TimedOut { .. } => return outcome,
             SeedOutcome::Failed { cause, telemetry, .. } => {
-                if attempt >= cfg.max_seed_retries {
+                if attempt >= max_retries {
                     return SeedOutcome::Failed { cause, retries: attempt, telemetry };
                 }
                 attempt += 1;
-                if cfg.retry_backoff_ms > 0 {
+                if backoff_ms > 0 {
                     let factor = 1u64 << (attempt - 1).min(16);
                     std::thread::sleep(std::time::Duration::from_millis(
-                        cfg.retry_backoff_ms.saturating_mul(factor),
+                        backoff_ms.saturating_mul(factor),
                     ));
                 }
             }
@@ -477,12 +665,13 @@ fn run_seed_with_retry(cfg: &BatchConfig, seed: u64, ws: &mut SimWorkspace) -> S
 /// Runs every seed of the batch, in parallel across the configured
 /// worker count, and merges the telemetry shards in seed order.
 ///
-/// Determinism: each seed's trajectory depends only on its
-/// [`seeded_config`], and results land at their seed's index, so the
-/// batch output — including the merged telemetry — is identical at any
-/// thread count (`DCE_BCN_THREADS=1` included).
+/// Determinism: each seed's trajectory depends only on its seeded
+/// configuration ([`seeded_config`], [`seeded_net_config`]), and results
+/// land at their seed's index, so the batch output — including the
+/// merged telemetry — is identical at any thread count
+/// (`DCE_BCN_THREADS=1` included).
 #[must_use]
-pub fn run_batch(cfg: &BatchConfig) -> BatchReport {
+pub fn run_batch<B: SeedBatch>(cfg: &B) -> BatchReport<ReportOf<B>> {
     run_batch_inner(cfg, None).expect("in-memory batch performs no checkpoint I/O")
 }
 
@@ -497,29 +686,30 @@ pub fn run_batch(cfg: &BatchConfig) -> BatchReport {
 ///
 /// Fails on the first checkpoint I/O error — the batch aborts rather
 /// than silently running uncheckpointed.
-pub fn run_batch_checkpointed(
-    cfg: &BatchConfig,
-    ckpt: &BatchCheckpoint,
-) -> Result<BatchReport, CheckpointError> {
+pub fn run_batch_checkpointed<B: SeedBatch>(
+    cfg: &B,
+    ckpt: &BatchCheckpoint<B>,
+) -> Result<BatchReport<ReportOf<B>>, CheckpointError> {
     run_batch_inner(cfg, Some(ckpt))
 }
 
-fn run_batch_inner(
-    cfg: &BatchConfig,
-    ckpt: Option<&BatchCheckpoint>,
-) -> Result<BatchReport, CheckpointError> {
-    let restored: Vec<Option<SeedOutcome>> =
-        cfg.seeds.iter().map(|&s| ckpt.and_then(|c| c.take_restored(s))).collect();
+fn run_batch_inner<B: SeedBatch>(
+    cfg: &B,
+    ckpt: Option<&BatchCheckpoint<B>>,
+) -> Result<BatchReport<ReportOf<B>>, CheckpointError> {
+    let seeds = cfg.seeds();
+    let restored: Vec<Option<SeedOutcome<ReportOf<B>>>> =
+        seeds.iter().map(|&s| ckpt.and_then(|c| c.take_restored(s))).collect();
     let todo: Vec<usize> =
         restored.iter().enumerate().filter_map(|(i, r)| r.is_none().then_some(i)).collect();
-    let resumed = (cfg.seeds.len() - todo.len()) as u64;
+    let resumed = (seeds.len() - todo.len()) as u64;
     let first_io_err: std::sync::Mutex<Option<CheckpointError>> = std::sync::Mutex::new(None);
-    // Each worker keeps one `SimWorkspace`, so the event-queue slab and
-    // bottleneck FIFO are allocated once per worker and recycled across
-    // its seeds (reuse changes no trajectory — see
+    // Each worker keeps one engine workspace (for the dumbbell, the
+    // event-queue slab and bottleneck FIFO), allocated once per worker
+    // and recycled across its seeds (reuse changes no trajectory — see
     // `workspace_reuse_is_bit_identical` in `crate::sim`).
-    let fresh = parkit::par_map_init(todo.len(), SimWorkspace::new, |ws, k| {
-        let seed = cfg.seeds[todo[k]];
+    let fresh = parkit::par_map_init(todo.len(), Default::default, |ws, k| {
+        let seed = seeds[todo[k]];
         let outcome = run_seed_with_retry(cfg, seed, ws);
         if let Some(ck) = ckpt {
             if let Err(e) = ck.record(seed, &outcome) {
@@ -538,7 +728,7 @@ fn run_batch_inner(
     // ascending and `par_map_init` lands results at their index, so the
     // fresh outcomes stream in the same order the gaps appear).
     let mut fresh = fresh.into_iter();
-    let outcomes: Vec<SeedOutcome> = restored
+    let outcomes: Vec<SeedOutcome<ReportOf<B>>> = restored
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| fresh.next().expect("one fresh outcome per gap")))
         .collect();
@@ -550,11 +740,12 @@ fn run_batch_inner(
             SeedOutcome::Completed(_) => {}
         }
     }
-    let telemetry = cfg.level.enabled().then(|| {
-        let mut agg = Telemetry::new(cfg.level);
+    let level = cfg.level();
+    let telemetry = level.enabled().then(|| {
+        let mut agg = Telemetry::new(level);
         for outcome in &outcomes {
             if let SeedOutcome::Completed(report) = outcome {
-                if let Some(shard) = &report.telemetry {
+                if let Some(shard) = report.telemetry() {
                     agg.merge(shard);
                 }
             }
@@ -565,7 +756,7 @@ fn run_batch_inner(
         agg
     });
     Ok(BatchReport {
-        seeds: cfg.seeds.clone(),
+        seeds: seeds.to_vec(),
         outcomes,
         telemetry,
         supervisor: SupervisorStats { resumed, retried, timed_out },
@@ -619,11 +810,12 @@ pub fn replay(spec: &ReplaySpec) -> Result<String, ReplayMismatch> {
         return if got == spec.cause { Ok(got) } else { Err(mismatch(Some(got))) };
     }
     let mut ws = SimWorkspace::new();
+    let sim = SeedEngine::Packet(Simulation::new_in(spec.config.clone(), &mut ws));
     let outcome = run_seeded(
-        spec.config.clone(),
+        sim,
+        spec.config.t_end.as_secs(),
         spec.seed,
         TelemetryLevel::Full,
-        None,
         spec.panic_after,
         spec.max_events,
         None,
@@ -650,11 +842,12 @@ pub fn replay(spec: &ReplaySpec) -> Result<String, ReplayMismatch> {
 /// of hosts.
 ///
 /// Network flows carry no start time, so only initial rates are
-/// jittered; everything else — seeds fanned out across the `parkit`
-/// pool, telemetry shards merged in seed order, panic quarantine,
-/// watchdog demotion, checkpoint/resume — mirrors the
-/// single-bottleneck runner, and the merged report is identical at any
-/// thread count.
+/// jittered, and there is no retry ladder (the engine is deterministic,
+/// so a failed seed fails identically on every retry). Everything else
+/// — seeds fanned out across the `parkit` pool, telemetry shards merged
+/// in seed order, panic quarantine, watchdog demotion,
+/// checkpoint/resume — is the same runner ([`run_batch`]), and the
+/// merged report is identical at any thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetBatchConfig {
     /// The unperturbed network scenario.
@@ -691,75 +884,15 @@ impl NetBatchConfig {
             max_seed_wall_ms: None,
         }
     }
-}
 
-/// What happened to one seed of a network batch (the [`SeedOutcome`]
-/// counterpart; no retry policy, so `Failed` carries no retry count).
-#[derive(Debug)]
-pub enum NetSeedOutcome {
-    /// The run finished; its report is attached.
-    Completed(Box<NetReport>),
-    /// The run panicked or its seeded configuration failed validation;
-    /// the seed is quarantined and the rest of the batch is unaffected.
-    Failed {
-        /// Sanitised failure cause (panic message or config error).
-        cause: String,
-        /// Flight recorder salvaged at the panic (`None` when
-        /// collection was off or construction never succeeded).
-        telemetry: Option<Box<Telemetry>>,
-    },
-    /// The watchdog demoted the run mid-flight.
-    TimedOut {
-        /// Events dispatched before the watchdog fired.
-        events: u64,
-        /// Flight recorder at demotion (`None` when collection was
-        /// off).
-        telemetry: Option<Box<Telemetry>>,
-    },
-}
-
-/// The result of one network batch: per-seed outcomes in seed order
-/// plus the merged telemetry aggregate, as in [`BatchReport`].
-#[derive(Debug)]
-pub struct NetBatchReport {
-    /// The seeds, in the order the outcomes are stored.
-    pub seeds: Vec<u64>,
-    /// One outcome per seed, input order preserved.
-    pub outcomes: Vec<NetSeedOutcome>,
-    /// Completed seeds' telemetry shards merged in seed order; `None`
-    /// when the level disables collection. Carries `batch.timed_out`
-    /// (resume-stable) but not `batch.resumed`.
-    pub telemetry: Option<Telemetry>,
-    /// Supervision tallies (`retried` stays zero: network batches have
-    /// no retry policy — a deterministic engine reproduces any failure
-    /// exactly).
-    pub supervisor: SupervisorStats,
-}
-
-impl NetBatchReport {
-    /// The seeds that finished, with their reports, in seed order.
-    pub fn completed(&self) -> impl Iterator<Item = (u64, &NetReport)> {
-        self.seeds.iter().zip(&self.outcomes).filter_map(|(&seed, out)| match out {
-            NetSeedOutcome::Completed(report) => Some((seed, report.as_ref())),
-            _ => None,
-        })
-    }
-
-    /// The quarantined seeds with their failure causes, in seed order.
-    pub fn failures(&self) -> impl Iterator<Item = (u64, &str)> {
-        self.seeds.iter().zip(&self.outcomes).filter_map(|(&seed, out)| match out {
-            NetSeedOutcome::Failed { cause, .. } => Some((seed, cause.as_str())),
-            _ => None,
-        })
-    }
-
-    /// The watchdog-demoted seeds with their event counts, in seed
-    /// order.
-    pub fn timed_out(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.seeds.iter().zip(&self.outcomes).filter_map(|(&seed, out)| match out {
-            NetSeedOutcome::TimedOut { events, .. } => Some((seed, *events)),
-            _ => None,
-        })
+    /// Checks the rate jitter before any seed runs (see
+    /// [`check_jitter`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming `rate_jitter_frac`.
+    pub fn validate_jitter(&self) -> Result<(), ConfigError> {
+        check_jitter(0.0, 0.0, self.rate_jitter_frac)
     }
 }
 
@@ -781,163 +914,69 @@ pub fn seeded_net_config(cfg: &NetBatchConfig, seed: u64) -> NetConfig {
     out
 }
 
-/// Runs one seeded network configuration under full supervision:
-/// telemetry sink with per-seed span-id base, intentional panic hook,
-/// event budget, and wall-clock deadline. Construction failures
-/// (`NetSim::try_new`) map to [`NetSeedOutcome::Failed`].
-fn run_net_seeded(
-    net_cfg: NetConfig,
-    seed: u64,
-    level: TelemetryLevel,
-    panic_after: Option<u64>,
-    max_events: Option<u64>,
-    max_wall_ms: Option<u64>,
-) -> NetSeedOutcome {
-    let t_end = net_cfg.t_end.as_secs();
-    let mut sim = match NetSim::try_new(net_cfg) {
-        Ok(sim) => sim,
-        Err(e) => {
-            return NetSeedOutcome::Failed {
-                cause: sanitize_cause(&e.to_string()),
-                telemetry: None,
-            };
-        }
-    };
-    let mut seed_span = 0;
-    if level.enabled() {
-        let mut tel = Telemetry::new(level);
-        tel.set_span_id_base((seed + 1) << 32);
-        seed_span = tel.span_begin(0.0, SpanKind::BatchSeed, seed as u32, 0);
-        sim = sim.with_telemetry_sink(tel);
+impl BatchEngine for NetSim {
+    type Workspace = ();
+    type Report = NetReport;
+
+    fn step(&mut self) -> bool {
+        NetSim::step(self)
     }
-    let deadline =
-        max_wall_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-    // Same unwind-safety argument as `run_seeded`: only the step loop is
-    // wrapped, the engine stays owned out here, and after a panic it is
-    // only inspected for its flight recorder, never re-run.
-    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut steps: u64 = 0;
-        while sim.step() {
-            steps += 1;
-            if panic_after.is_some_and(|n| steps >= n) {
-                panic!("seed {seed}: intentional panic (panic_seeds)");
-            }
-            if max_events.is_some_and(|n| steps >= n) {
-                return StepEnd::Budget(steps);
-            }
-            if steps.is_multiple_of(WALL_CHECK_EVERY)
-                && deadline.is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                return StepEnd::Budget(steps);
-            }
-        }
-        if panic_after.is_some() {
-            panic!("seed {seed}: intentional panic (panic_seeds)");
-        }
-        StepEnd::Done
-    }));
-    match stepped {
-        Ok(StepEnd::Done) => {
-            let mut report = sim.finish();
-            if let Some(tel) = report.telemetry.as_mut() {
-                tel.span_end(t_end, seed_span);
-            }
-            NetSeedOutcome::Completed(Box::new(report))
-        }
-        Ok(StepEnd::Budget(events)) => {
-            NetSeedOutcome::TimedOut { events, telemetry: sim.take_telemetry().map(Box::new) }
-        }
-        Err(payload) => NetSeedOutcome::Failed {
-            cause: sanitize_cause(&panic_message(payload.as_ref())),
-            telemetry: sim.take_telemetry().map(Box::new),
-        },
+
+    fn with_telemetry_sink(self, tel: Telemetry) -> Self {
+        NetSim::with_telemetry_sink(self, tel)
+    }
+
+    fn take_telemetry(&mut self) -> Option<Telemetry> {
+        NetSim::take_telemetry(self)
+    }
+
+    fn finish_into(self, (): &mut ()) -> NetReport {
+        self.finish()
     }
 }
 
-/// One seed of a network batch: seeding, the known-hazardous-seed
-/// flight-recorder upgrade, and supervision.
-fn run_net_seed(cfg: &NetBatchConfig, seed: u64) -> NetSeedOutcome {
-    let net_cfg = seeded_net_config(cfg, seed);
-    let panic_after = cfg.panic_seeds.contains(&seed).then_some(PANIC_AFTER_STEPS);
-    let level = if panic_after.is_some() { TelemetryLevel::Full } else { cfg.level };
-    run_net_seeded(net_cfg, seed, level, panic_after, cfg.max_events_per_seed, cfg.max_seed_wall_ms)
-}
+impl SeedBatch for NetBatchConfig {
+    type Config = NetConfig;
+    type Engine = NetSim;
 
-/// Runs every seed of a network batch in parallel across the configured
-/// worker count and merges the telemetry shards in seed order. Output
-/// is identical at any thread count (`DCE_BCN_THREADS=1` included).
-#[must_use]
-pub fn run_net_batch(cfg: &NetBatchConfig) -> NetBatchReport {
-    run_net_batch_inner(cfg, None).expect("in-memory batch performs no checkpoint I/O")
-}
-
-/// [`run_net_batch`] with crash recovery through a
-/// [`NetBatchCheckpoint`]: finished seeds are persisted before they are
-/// counted and acknowledged seeds are restored bit-exactly on resume,
-/// so a resumed batch's merged report equals an uninterrupted run.
-///
-/// # Errors
-///
-/// Fails on the first checkpoint I/O error — the batch aborts rather
-/// than silently running uncheckpointed.
-pub fn run_net_batch_checkpointed(
-    cfg: &NetBatchConfig,
-    ckpt: &NetBatchCheckpoint,
-) -> Result<NetBatchReport, CheckpointError> {
-    run_net_batch_inner(cfg, Some(ckpt))
-}
-
-fn run_net_batch_inner(
-    cfg: &NetBatchConfig,
-    ckpt: Option<&NetBatchCheckpoint>,
-) -> Result<NetBatchReport, CheckpointError> {
-    let restored: Vec<Option<NetSeedOutcome>> =
-        cfg.seeds.iter().map(|&s| ckpt.and_then(|c| c.take_restored(s))).collect();
-    let todo: Vec<usize> =
-        restored.iter().enumerate().filter_map(|(i, r)| r.is_none().then_some(i)).collect();
-    let resumed = (cfg.seeds.len() - todo.len()) as u64;
-    let first_io_err: std::sync::Mutex<Option<CheckpointError>> = std::sync::Mutex::new(None);
-    let fresh = parkit::par_map_indexed(todo.len(), |k| {
-        let seed = cfg.seeds[todo[k]];
-        let outcome = run_net_seed(cfg, seed);
-        if let Some(ck) = ckpt {
-            if let Err(e) = ck.record(seed, &outcome) {
-                let mut slot = first_io_err.lock().expect("checkpoint error slot");
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-            }
-        }
-        outcome
-    });
-    if let Some(e) = first_io_err.into_inner().expect("checkpoint error slot") {
-        return Err(e);
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
     }
-    let mut fresh = fresh.into_iter();
-    let outcomes: Vec<NetSeedOutcome> = restored
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| fresh.next().expect("one fresh outcome per gap")))
-        .collect();
-    let timed_out =
-        outcomes.iter().filter(|o| matches!(o, NetSeedOutcome::TimedOut { .. })).count() as u64;
-    let telemetry = cfg.level.enabled().then(|| {
-        let mut agg = Telemetry::new(cfg.level);
-        for outcome in &outcomes {
-            if let NetSeedOutcome::Completed(report) = outcome {
-                if let Some(shard) = &report.telemetry {
-                    agg.merge(shard);
-                }
-            }
-        }
-        agg.batch_supervision(0, 0, timed_out);
-        agg
-    });
-    Ok(NetBatchReport {
-        seeds: cfg.seeds.clone(),
-        outcomes,
-        telemetry,
-        supervisor: SupervisorStats { resumed, retried: 0, timed_out },
-    })
+
+    fn level(&self) -> TelemetryLevel {
+        self.level
+    }
+
+    fn panic_seeds(&self) -> &[u64] {
+        &self.panic_seeds
+    }
+
+    fn watchdog(&self) -> (Option<u64>, Option<u64>) {
+        (self.max_events_per_seed, self.max_seed_wall_ms)
+    }
+
+    /// No retries: a deterministic engine reproduces any failure
+    /// exactly.
+    fn retries(&self) -> (u32, u64) {
+        (0, 0)
+    }
+
+    fn t_end(&self) -> f64 {
+        self.base.t_end.as_secs()
+    }
+
+    fn seeded(&self, seed: u64) -> Result<NetConfig, ConfigError> {
+        self.validate_jitter()?;
+        Ok(seeded_net_config(self, seed))
+    }
+
+    fn build(&self, cfg: NetConfig, (): &mut ()) -> Result<NetSim, ConfigError> {
+        NetSim::try_new(cfg)
+    }
+
+    fn digest(&self) -> u64 {
+        crate::checkpoint::net_batch_config_digest(self)
+    }
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -1145,17 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn an_invalid_seeded_config_fails_without_panicking() {
-        let mut cfg = batch(3);
-        cfg.base.capacity = 0.0;
-        let report = run_batch(&cfg);
-        assert_eq!(report.completed().count(), 0);
-        for (_, cause) in report.failures() {
-            assert!(cause.contains("capacity"), "cause: {cause}");
-        }
-    }
-
-    #[test]
     fn fault_plans_replay_identically_at_any_thread_count() {
         let mut cfg = batch(4);
         cfg.base.faults.seed = 99;
@@ -1185,7 +1213,7 @@ mod tests {
     /// Byte-level fingerprint of a whole batch report: every outcome
     /// through the checkpoint codec plus the merged aggregate through
     /// the snapshot codec. Equal fingerprints mean equal artifacts.
-    fn fingerprint(report: &BatchReport) -> String {
+    fn fingerprint<R: SeedReport>(report: &BatchReport<R>) -> String {
         let mut s = String::new();
         for (&seed, out) in report.seeds.iter().zip(&report.outcomes) {
             crate::checkpoint::encode_seed_outcome(seed, out, &mut s);
@@ -1249,34 +1277,53 @@ mod tests {
         assert_eq!(tel.metrics.counter_by_name("batch.retried"), Some(2));
     }
 
+    /// Kills `cfg` after every prefix of its six seeds (the killed run
+    /// sees only the prefix), resumes the full batch at widths 1 and 4,
+    /// and demands the clean run's fingerprint every time.
+    fn assert_resume_bit_identical<B: SeedBatch>(cfg: &B, prefix: impl Fn(usize) -> B, tag: &str) {
+        let want = fingerprint(&run_batch(cfg));
+        for (kill_after, width) in [(0usize, 1usize), (2, 4), (5, 1), (6, 4)] {
+            let dir = scratch(&format!("{tag}-kill{kill_after}w{width}"));
+            // First run: "crashes" after recording `kill_after` seeds.
+            let ck = BatchCheckpoint::create(&dir, cfg).expect("create");
+            run_batch_checkpointed(&prefix(kill_after), &ck).expect("partial run");
+            drop(ck);
+            // Resume with the full seed list at the requested width.
+            parkit::set_threads(width);
+            let ck = BatchCheckpoint::resume(&dir, cfg).expect("resume");
+            assert_eq!(ck.restored_seeds().len(), kill_after);
+            let resumed = run_batch_checkpointed(cfg, &ck).expect("resumed run");
+            parkit::set_threads(0);
+            assert_eq!(resumed.supervisor.resumed, kill_after as u64);
+            assert_eq!(
+                fingerprint(&resumed),
+                want,
+                "{tag}: kill point {kill_after} width {width} diverged"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn resumed_batches_are_bit_identical_at_any_kill_point_and_width() {
         let mut cfg = batch(6);
         cfg.panic_seeds = vec![4];
         cfg.base.faults.seed = 11;
         cfg.base.faults.feedback_loss = 0.15;
-        let want = fingerprint(&run_batch(&cfg));
-        for (kill_after, width) in [(0usize, 1usize), (2, 4), (5, 1), (6, 4)] {
-            let dir = scratch(&format!("kill{kill_after}w{width}"));
-            // First run: "crashes" after recording `kill_after` seeds.
-            let ck = crate::checkpoint::BatchCheckpoint::create(&dir, &cfg).expect("create");
-            let partial = BatchConfig { seeds: cfg.seeds[..kill_after].to_vec(), ..cfg.clone() };
-            run_batch_checkpointed(&partial, &ck).expect("partial run");
-            drop(ck);
-            // Resume with the full seed list at the requested width.
-            parkit::set_threads(width);
-            let ck = crate::checkpoint::BatchCheckpoint::resume(&dir, &cfg).expect("resume");
-            assert_eq!(ck.restored_seeds().len(), kill_after);
-            let resumed = run_batch_checkpointed(&cfg, &ck).expect("resumed run");
-            parkit::set_threads(0);
-            assert_eq!(resumed.supervisor.resumed, kill_after as u64);
-            assert_eq!(
-                fingerprint(&resumed),
-                want,
-                "kill point {kill_after} width {width} diverged"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let prefix = |k: usize| BatchConfig { seeds: cfg.seeds[..k].to_vec(), ..cfg.clone() };
+        assert_resume_bit_identical(&cfg, prefix, "sim");
+        let mut net = net_batch(6);
+        net.panic_seeds = vec![4];
+        // Fabric seeds here dispatch ~6.3k events: this budget demotes
+        // some and lets the others finish.
+        net.max_events_per_seed = Some(6_310);
+        net.base.faults.seed = 11;
+        net.base.faults.data_loss = 0.01;
+        let report = run_batch(&net);
+        assert!(report.completed().count() > 0, "some fabric seeds must complete");
+        assert!(report.timed_out().count() > 0, "some fabric seeds must hit the budget");
+        let prefix = |k: usize| NetBatchConfig { seeds: net.seeds[..k].to_vec(), ..net.clone() };
+        assert_resume_bit_identical(&net, prefix, "net");
     }
 
     #[test]
@@ -1352,10 +1399,10 @@ mod tests {
         let mut heap_cfg = cfg.clone();
         heap_cfg.base.scheduler = crate::sched::Scheduler::Heap;
         parkit::set_threads(1);
-        let serial = run_net_batch(&cfg);
+        let serial = run_batch(&cfg);
         parkit::set_threads(4);
-        let parallel = run_net_batch(&cfg);
-        let heap = run_net_batch(&heap_cfg);
+        let parallel = run_batch(&cfg);
+        let heap = run_batch(&heap_cfg);
         parkit::set_threads(0);
         assert_eq!(serial.completed().count(), 3);
         for ((_, s), (_, p)) in serial.completed().zip(parallel.completed()) {
@@ -1380,7 +1427,7 @@ mod tests {
         let mut cfg = net_batch(4);
         cfg.panic_seeds = vec![1];
         cfg.max_events_per_seed = Some(2_000);
-        let report = run_net_batch(&cfg);
+        let report = run_batch(&cfg);
         let failures: Vec<_> = report.failures().collect();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, 1);
@@ -1389,21 +1436,47 @@ mod tests {
         let salvaged = report
             .outcomes
             .iter()
-            .any(|o| matches!(o, NetSeedOutcome::Failed { telemetry: Some(_), .. }));
+            .any(|o| matches!(o, SeedOutcome::Failed { telemetry: Some(_), .. }));
         assert!(salvaged, "panicking seed must surrender its flight recorder");
         assert_eq!(report.timed_out().count(), 3, "remaining seeds hit the event budget");
         assert_eq!(report.supervisor.timed_out, 3);
     }
 
+    /// Every seed of `cfg` must fail (not panic) with a cause naming
+    /// `what`.
+    fn assert_every_seed_fails<B: SeedBatch>(cfg: &B, what: &str) {
+        let report = run_batch(cfg);
+        assert_eq!(report.failures().count(), cfg.seeds().len(), "{what}");
+        assert!(report.failures().all(|(_, c)| c.contains(what)), "{what}");
+    }
+
     #[test]
-    fn net_batch_rejects_invalid_seeded_configs_as_failures() {
-        let mut cfg = net_batch(2);
-        cfg.base.switches[0].routes.clear();
-        let report = run_net_batch(&cfg);
-        assert_eq!(report.completed().count(), 0);
-        assert_eq!(report.failures().count(), 2);
-        for (_, cause) in report.failures() {
-            assert!(cause.contains("unroutable"), "cause: {cause}");
+    fn invalid_seeded_configs_fail_every_seed_without_panicking() {
+        let mut cfg = batch(3);
+        cfg.base.capacity = 0.0;
+        assert_every_seed_fails(&cfg, "capacity");
+        let mut net = net_batch(2);
+        net.base.switches[0].routes.clear();
+        assert_every_seed_fails(&net, "unroutable");
+        // Bad jitter knobs are typed per-seed failures too.
+        for (start, rate, field) in [
+            (-0.01, 0.1, "start_jitter_secs"),
+            (f64::INFINITY, 0.1, "start_jitter_secs"),
+            (f64::NAN, 0.1, "start_jitter_secs"),
+            (1e300, 0.1, "start_jitter_secs"),
+            (0.0, 3.0, "rate_jitter_frac"),
+            (0.0, -0.5, "rate_jitter_frac"),
+        ] {
+            let cfg = BatchConfig { start_jitter_secs: start, rate_jitter_frac: rate, ..batch(2) };
+            assert!(cfg.validate_jitter().is_err(), "({start}, {rate}) must be rejected");
+            assert_every_seed_fails(&cfg, field);
         }
+        let net = NetBatchConfig { rate_jitter_frac: 3.0, ..net_batch(2) };
+        assert!(net.validate_jitter().is_err());
+        assert_every_seed_fails(&net, "rate_jitter_frac");
+        // The edges of the valid range still run.
+        let edge = BatchConfig { start_jitter_secs: 0.0, rate_jitter_frac: 1.0, ..batch(1) };
+        assert!(edge.validate_jitter().is_ok());
+        assert_eq!(run_batch(&edge).completed().count(), 1);
     }
 }

@@ -1,19 +1,19 @@
 //! Crash-recoverable batch checkpoints and postmortem replay specs.
 //!
 //! A batch run can be pointed at a checkpoint directory
-//! ([`BatchCheckpoint`]): every finished seed is persisted as a
-//! self-contained JSONL *shard* (`seed-<seed>.jsonl`) holding the full
-//! [`SeedOutcome`] — metrics, recorded series, fault tallies, and the
-//! seed's telemetry shard via the bit-exact snapshot codec — and then
-//! acknowledged in an append-only `manifest.jsonl`. Shards are written
-//! atomically (tmp + fsync + rename + directory fsync) and the manifest
-//! is fsynced after every acknowledgement, so a run killed at *any*
-//! instant — `SIGKILL` mid-seed included — leaves the directory in a
-//! state a `--resume` run can pick up: acknowledged seeds are restored
-//! bit-exactly, everything else (including a torn trailing manifest
-//! line or an orphaned `seed-N.tmp`) is simply re-run. Because the
-//! simulator is deterministic, the merged report of a resumed batch is
-//! byte-identical to an uninterrupted run.
+//! ([`BatchCheckpoint`]), for either packet engine: every finished seed
+//! is persisted as a self-contained JSONL *shard* (`seed-<seed>.jsonl`)
+//! holding the full [`SeedOutcome`] — metrics, recorded series, fault
+//! tallies, and the seed's telemetry shard via the bit-exact snapshot
+//! codec — and then acknowledged in an append-only `manifest.jsonl`.
+//! Shards are written atomically (tmp + fsync + rename + directory
+//! fsync) and the manifest is fsynced after every acknowledgement, so a
+//! run killed at *any* instant — `SIGKILL` mid-seed included — leaves
+//! the directory in a state a `--resume` run can pick up: acknowledged
+//! seeds are restored bit-exactly, everything else (including a torn
+//! trailing manifest line or an orphaned `seed-N.tmp`) is simply
+//! re-run. Because the simulator is deterministic, the merged report of
+//! a resumed batch is byte-identical to an uninterrupted run.
 //!
 //! The same codec makes postmortem dumps self-describing: a quarantined
 //! seed's dump embeds its fully seeded [`SimConfig`] (fault plan
@@ -30,11 +30,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use telemetry::{
-    check_schema_header, fmt_num, parse_scalars, schema_header, snapshot_from_jsonl,
-    snapshot_to_jsonl, JsonlError, Scalar,
+    check_schema_header, expect_type, field, fmt_num, next_record, parse_num, parse_scalars,
+    schema_header, snapshot_from_jsonl, snapshot_to_jsonl, JsonlError, Scalar, Telemetry,
 };
 
-use crate::batch::{BatchConfig, NetBatchConfig, NetSeedOutcome, SeedOutcome};
+use crate::batch::{BatchConfig, NetBatchConfig, ReportOf, SeedBatch, SeedOutcome, SeedReport};
 use crate::cp::{CpConfig, FbQuant};
 use crate::faults::{splitmix64, FaultConfig, FaultCounts};
 use crate::frame::CpId;
@@ -144,25 +144,7 @@ pub fn sim_config_digest(cfg: &SimConfig) -> u64 {
         h = mix_opt_f(h, flow.volume_bits);
     }
     h = match &cfg.control {
-        Control::Bcn { cp, rp } => {
-            let mut h = mix(h, 1);
-            h = mix(h, cp.cpid.0);
-            h = mix_f(h, cp.q0_bits);
-            h = mix_f(h, cp.qsc_bits);
-            h = mix_f(h, cp.w);
-            h = mix(h, cp.sample_every);
-            h = match cp.fb_quant {
-                Some(q) => mix_f(mix(mix(h, 1), u64::from(q.bits)), q.range_bits),
-                None => mix(h, 0),
-            };
-            h = mix(h, u64::from(cp.gate_positive));
-            h = mix_f(h, rp.gi);
-            h = mix_f(h, rp.gd);
-            h = mix_f(h, rp.ru);
-            h = mix_f(h, rp.gain_scale);
-            h = mix_f(h, rp.r_min);
-            mix_f(h, rp.r_max)
-        }
+        Control::Bcn { cp, rp } => mix_rp_config(mix_cp_config(mix(h, 1), cp), rp),
         Control::Qcn { cp, rp } => {
             let mut h = mix(h, 2);
             h = mix_f(h, cp.q_eq_bits);
@@ -218,6 +200,13 @@ fn mix_cp_config(mut h: u64, cp: &CpConfig) -> u64 {
     mix(h, u64::from(cp.gate_positive))
 }
 
+fn mix_rp_config(mut h: u64, rp: &RpConfig) -> u64 {
+    for v in [rp.gi, rp.gd, rp.ru, rp.gain_scale, rp.r_min, rp.r_max] {
+        h = mix_f(h, v);
+    }
+    h
+}
+
 /// Order-sensitive digest of a fully seeded [`NetConfig`] — the
 /// multi-hop counterpart of [`sim_config_digest`], folding topology
 /// (switches, routes, congestion points, links), flows, PAUSE policy,
@@ -252,15 +241,7 @@ pub fn net_config_digest(cfg: &NetConfig) -> u64 {
         h = mix(h, f.dst_host as u64);
         h = mix_f(h, f.initial_rate);
         h = match &f.rp {
-            Some(rp) => {
-                let mut h = mix(h, 1);
-                h = mix_f(h, rp.gi);
-                h = mix_f(h, rp.gd);
-                h = mix_f(h, rp.ru);
-                h = mix_f(h, rp.gain_scale);
-                h = mix_f(h, rp.r_min);
-                mix_f(h, rp.r_max)
-            }
+            Some(rp) => mix_rp_config(mix(h, 1), rp),
             None => mix(h, 0),
         };
         h = mix(h, u64::from(f.priority));
@@ -276,31 +257,39 @@ pub fn net_config_digest(cfg: &NetConfig) -> u64 {
     h & MASK_53
 }
 
+/// Folds the supervision policy shared by every batch configuration
+/// into `h`: seed list, telemetry level, the config's jitter knobs (in
+/// the given order), panic hooks, and the watchdog.
+fn mix_batch<B: SeedBatch>(mut h: u64, cfg: &B, jitters: &[f64]) -> u64 {
+    h = mix(h, cfg.seeds().len() as u64);
+    for &s in cfg.seeds() {
+        h = mix(h, s);
+    }
+    h = mix(h, cfg.level() as u64);
+    for &j in jitters {
+        h = mix_f(h, j);
+    }
+    h = mix(h, cfg.panic_seeds().len() as u64);
+    for &s in cfg.panic_seeds() {
+        h = mix(h, s);
+    }
+    let (max_events, max_wall_ms) = cfg.watchdog();
+    for limit in [max_events, max_wall_ms] {
+        h = match limit {
+            Some(n) => mix(mix(h, 1), n),
+            None => mix(h, 0),
+        };
+    }
+    h
+}
+
 /// Digest identifying a whole [`NetBatchConfig`] (base scenario, seed
 /// list, jitter, supervision policy), the resume-compatibility check
-/// for [`NetBatchCheckpoint`].
+/// for its [`BatchCheckpoint`].
 #[must_use]
 pub fn net_batch_config_digest(cfg: &NetBatchConfig) -> u64 {
-    let mut h = mix(0x2545_f491_4f6c_dd1d, net_config_digest(&cfg.base));
-    h = mix(h, cfg.seeds.len() as u64);
-    for &s in &cfg.seeds {
-        h = mix(h, s);
-    }
-    h = mix(h, cfg.level as u64);
-    h = mix_f(h, cfg.rate_jitter_frac);
-    h = mix(h, cfg.panic_seeds.len() as u64);
-    for &s in &cfg.panic_seeds {
-        h = mix(h, s);
-    }
-    h = match cfg.max_events_per_seed {
-        Some(n) => mix(mix(h, 1), n),
-        None => mix(h, 0),
-    };
-    h = match cfg.max_seed_wall_ms {
-        Some(n) => mix(mix(h, 1), n),
-        None => mix(h, 0),
-    };
-    h & MASK_53
+    let h = mix(0x2545_f491_4f6c_dd1d, net_config_digest(&cfg.base));
+    mix_batch(h, cfg, &[cfg.rate_jitter_frac]) & MASK_53
 }
 
 /// Digest identifying a whole [`BatchConfig`] — the base scenario plus
@@ -311,25 +300,7 @@ pub fn net_batch_config_digest(cfg: &NetBatchConfig) -> u64 {
 #[must_use]
 pub fn batch_config_digest(cfg: &BatchConfig) -> u64 {
     let mut h = mix(0xa076_1d64_78bd_642f, sim_config_digest(&cfg.base));
-    h = mix(h, cfg.seeds.len() as u64);
-    for &s in &cfg.seeds {
-        h = mix(h, s);
-    }
-    h = mix(h, cfg.level as u64);
-    h = mix_f(h, cfg.start_jitter_secs);
-    h = mix_f(h, cfg.rate_jitter_frac);
-    h = mix(h, cfg.panic_seeds.len() as u64);
-    for &s in &cfg.panic_seeds {
-        h = mix(h, s);
-    }
-    h = match cfg.max_events_per_seed {
-        Some(n) => mix(mix(h, 1), n),
-        None => mix(h, 0),
-    };
-    h = match cfg.max_seed_wall_ms {
-        Some(n) => mix(mix(h, 1), n),
-        None => mix(h, 0),
-    };
+    h = mix_batch(h, cfg, &[cfg.start_jitter_secs, cfg.rate_jitter_frac]);
     h = mix(h, u64::from(cfg.max_seed_retries));
     h = mix(h, cfg.retry_backoff_ms);
     h = match &cfg.hybrid {
@@ -365,32 +336,6 @@ fn scheduler_tag(s: Scheduler) -> u64 {
 // ---------------------------------------------------------------------
 
 type Fields = Vec<(String, Scalar)>;
-
-fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a Scalar, CheckpointError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Format(format!("missing field `{key}`")))
-}
-
-fn next_record<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    what: &str,
-) -> Result<Fields, CheckpointError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Format(format!("truncated checkpoint: expected {what}")))?;
-    Ok(parse_scalars(line)?)
-}
-
-fn expect_type(fields: &Fields, want: &str) -> Result<(), CheckpointError> {
-    let ty = field(fields, "type")?.as_str("type")?;
-    if ty != want {
-        return Err(CheckpointError::Format(format!("expected `{want}` record, found `{ty}`")));
-    }
-    Ok(())
-}
 
 fn get_f64(fields: &Fields, key: &str) -> Result<f64, CheckpointError> {
     Ok(field(fields, key)?.as_f64(key)?)
@@ -429,57 +374,26 @@ fn get_split_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
     Ok((hi << 32) | lo)
 }
 
-fn pack_f64s(vals: &[f64]) -> String {
-    let mut out = String::new();
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&fmt_num(*v));
-    }
-    out
+/// Packs numbers into one comma-separated string field.
+fn pack<T: Copy>(vals: &[T], fmt: impl Fn(T) -> String) -> String {
+    vals.iter().map(|&v| fmt(v)).collect::<Vec<_>>().join(",")
 }
 
-fn unpack_f64s(packed: &str, what: &str) -> Result<Vec<f64>, CheckpointError> {
-    if packed.is_empty() {
-        return Ok(Vec::new());
-    }
-    packed.split(',').map(|tok| parse_num(tok, what)).collect()
-}
-
-fn pack_u64s(vals: &[u64]) -> String {
-    let mut out = String::new();
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out
-}
-
-fn unpack_u64s(packed: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
+/// Unpacks a [`pack`]ed field token by token; `what` names it in errors.
+fn unpack<T, E>(
+    packed: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Vec<T>, CheckpointError> {
     if packed.is_empty() {
         return Ok(Vec::new());
     }
     packed
         .split(',')
         .map(|tok| {
-            tok.parse::<u64>()
-                .map_err(|_| CheckpointError::Format(format!("bad count `{tok}` in {what}")))
+            parse(tok).map_err(|_| CheckpointError::Format(format!("bad number `{tok}` in {what}")))
         })
         .collect()
-}
-
-fn parse_num(tok: &str, what: &str) -> Result<f64, CheckpointError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        _ => tok
-            .parse::<f64>()
-            .map_err(|_| CheckpointError::Format(format!("bad number `{tok}` in {what}"))),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -753,20 +667,18 @@ pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
 // ---------------------------------------------------------------------
 
 /// Appends the record block for one seed's [`SeedOutcome`] — the shard
-/// payload of a checkpoint. Completed reports serialise every
-/// [`SimMetrics`] field plus the telemetry shard through the bit-exact
-/// snapshot codec, so a decoded outcome merges into an aggregate
-/// byte-identically to the original.
-pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
+/// payload of a checkpoint: a `seed` head record, the completed report's
+/// body ([`SeedReport::encode_body`]), then the telemetry shard through
+/// the bit-exact snapshot codec, so a decoded outcome merges into an
+/// aggregate byte-identically to the original.
+pub fn encode_seed_outcome<R: SeedReport>(seed: u64, outcome: &SeedOutcome<R>, out: &mut String) {
     let (kind, retries, cause, events, tel) = match outcome {
-        SeedOutcome::Completed(report) => {
-            ("completed", 0, String::new(), 0, report.telemetry.as_ref())
-        }
+        SeedOutcome::Completed(report) => ("completed", 0, "", 0, report.telemetry()),
         SeedOutcome::Failed { cause, retries, telemetry } => {
-            ("failed", *retries, cause.clone(), 0, telemetry.as_deref())
+            ("failed", *retries, cause.as_str(), 0, telemetry.as_deref())
         }
         SeedOutcome::TimedOut { events, telemetry } => {
-            ("timed_out", 0, String::new(), *events, telemetry.as_deref())
+            ("timed_out", 0, "", *events, telemetry.as_deref())
         }
     };
     let mut line = String::from(r#"{"type":"seed""#);
@@ -780,7 +692,66 @@ pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
     out.push_str(&line);
     out.push('\n');
     if let SeedOutcome::Completed(report) = outcome {
-        let m = &report.metrics;
+        report.encode_body(out);
+    }
+    if let Some(t) = tel {
+        out.push_str(&snapshot_to_jsonl(t));
+    }
+}
+
+/// Decodes one seed's outcome block written by [`encode_seed_outcome`],
+/// consuming exactly its lines.
+///
+/// # Errors
+///
+/// Fails on truncation or malformed records; a resuming batch treats
+/// that as "seed not done" and re-runs it.
+pub fn decode_seed_outcome<'a, R: SeedReport, I: Iterator<Item = &'a str>>(
+    lines: &mut I,
+) -> Result<(u64, SeedOutcome<R>), CheckpointError> {
+    let head = next_record(lines, "`seed` record")?;
+    expect_type(&head, "seed")?;
+    let seed = get_split_u64(&head, "seed")?;
+    let kind = get_str(&head, "outcome")?.to_string();
+    let retries = get_u32(&head, "retries")?;
+    let events = get_u64(&head, "events")?;
+    let has_tel = get_bool(&head, "has_telemetry")?;
+    let cause = get_str(&head, "cause")?.to_string();
+    let take_telemetry = |lines: &mut I| -> Result<Option<Telemetry>, CheckpointError> {
+        Ok(if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None })
+    };
+    let outcome = match kind.as_str() {
+        "completed" => {
+            let mut report = R::decode_body(lines)?;
+            *report.telemetry_mut() = take_telemetry(lines)?;
+            SeedOutcome::Completed(Box::new(report))
+        }
+        "failed" => {
+            SeedOutcome::Failed { cause, retries, telemetry: take_telemetry(lines)?.map(Box::new) }
+        }
+        "timed_out" => {
+            SeedOutcome::TimedOut { events, telemetry: take_telemetry(lines)?.map(Box::new) }
+        }
+        other => {
+            return Err(CheckpointError::Format(format!("unknown seed outcome `{other}`")));
+        }
+    };
+    Ok((seed, outcome))
+}
+
+/// The dumbbell report body: counters, fault tallies, per-source
+/// samples, and every recorded [`SimMetrics`] series.
+impl SeedReport for SimReport {
+    fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
+    }
+
+    fn telemetry_mut(&mut self) -> &mut Option<Telemetry> {
+        &mut self.telemetry
+    }
+
+    fn encode_body(&self, out: &mut String) {
+        let m = &self.metrics;
         let _ = writeln!(
             out,
             r#"{{"type":"sim_counters","delivered_frames":{},"dropped_frames":{},"feedback_messages":{},"pause_events":{},"delivered_bits":{},"sources":{}}}"#,
@@ -792,7 +763,7 @@ pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
             m.per_source_rate.len(),
         );
         put_fault_counts(out, &m.faults);
-        put_samples(out, "final_rates", &report.final_rates);
+        put_samples(out, "final_rates", &self.final_rates);
         put_samples(out, "per_source_bits", &m.per_source_bits);
         put_samples(out, "queueing_delay", m.queueing_delay.values());
         put_series(out, "queue", None, &m.queue);
@@ -801,13 +772,124 @@ pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
             put_series(out, "rate", Some(i), s);
         }
     }
-    if let Some(t) = tel {
-        out.push_str(&snapshot_to_jsonl(t));
+
+    fn decode_body<'a, I: Iterator<Item = &'a str>>(
+        lines: &mut I,
+    ) -> Result<Self, CheckpointError> {
+        let c = next_record(lines, "`sim_counters` record")?;
+        expect_type(&c, "sim_counters")?;
+        let sources = get_u64(&c, "sources")? as usize;
+        let faults = take_fault_counts(lines)?;
+        let final_rates = take_samples(lines, "final_rates")?;
+        let per_source_bits = take_samples(lines, "per_source_bits")?;
+        let delay_vals = take_samples(lines, "queueing_delay")?;
+        let queue = take_series(lines, "queue")?;
+        let aggregate_rate = take_series(lines, "aggregate_rate")?;
+        let mut per_source_rate = Vec::with_capacity(sources);
+        for _ in 0..sources {
+            per_source_rate.push(take_series(lines, "rate")?);
+        }
+        let mut queueing_delay = crate::metrics::SampleSet::new();
+        for v in delay_vals {
+            queueing_delay.push(v);
+        }
+        let metrics = SimMetrics {
+            queue,
+            aggregate_rate,
+            delivered_frames: get_u64(&c, "delivered_frames")?,
+            dropped_frames: get_u64(&c, "dropped_frames")?,
+            feedback_messages: get_u64(&c, "feedback_messages")?,
+            pause_events: get_u64(&c, "pause_events")?,
+            per_source_bits,
+            delivered_bits: get_f64(&c, "delivered_bits")?,
+            queueing_delay,
+            per_source_rate,
+            faults,
+        };
+        Ok(SimReport { metrics, final_rates, telemetry: None })
+    }
+}
+
+/// The fabric report body: per-flow statistics, per-link PAUSE counts,
+/// fault tallies, and the per-switch queue series.
+impl SeedReport for NetReport {
+    fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
+    }
+
+    fn telemetry_mut(&mut self) -> &mut Option<Telemetry> {
+        &mut self.telemetry
+    }
+
+    fn encode_body(&self, out: &mut String) {
+        let dropped: Vec<u64> = self.flows.iter().map(|f| f.dropped_frames).collect();
+        let _ = writeln!(
+            out,
+            r#"{{"type":"net_counters","feedback_messages":{},"flows":{},"switches":{},"pause_counts":"{}","dropped_frames":"{}"}}"#,
+            self.feedback_messages,
+            self.flows.len(),
+            self.switch_queues.len(),
+            pack(&self.pause_counts, |v| v.to_string()),
+            pack(&dropped, |v| v.to_string()),
+        );
+        put_fault_counts(out, &self.faults);
+        let delivered: Vec<f64> = self.flows.iter().map(|f| f.delivered_bits).collect();
+        let rates: Vec<f64> = self.flows.iter().map(|f| f.final_rate).collect();
+        put_samples(out, "delivered_bits", &delivered);
+        put_samples(out, "final_rate", &rates);
+        for (i, s) in self.switch_queues.iter().enumerate() {
+            put_series(out, "switch_queue", Some(i), s);
+        }
+    }
+
+    fn decode_body<'a, I: Iterator<Item = &'a str>>(
+        lines: &mut I,
+    ) -> Result<Self, CheckpointError> {
+        let c = next_record(lines, "`net_counters` record")?;
+        expect_type(&c, "net_counters")?;
+        let n_flows = get_u64(&c, "flows")? as usize;
+        let n_switches = get_u64(&c, "switches")? as usize;
+        let pause_counts = unpack(get_str(&c, "pause_counts")?, "pause_counts", str::parse)?;
+        let dropped = unpack(get_str(&c, "dropped_frames")?, "dropped_frames", str::parse)?;
+        let faults = take_fault_counts(lines)?;
+        let delivered = take_samples(lines, "delivered_bits")?;
+        let rates = take_samples(lines, "final_rate")?;
+        if delivered.len() != n_flows || rates.len() != n_flows || dropped.len() != n_flows {
+            return Err(CheckpointError::Format(format!(
+                "net shard: {n_flows} flows vs {} delivered / {} rates / {} drop counts",
+                delivered.len(),
+                rates.len(),
+                dropped.len()
+            )));
+        }
+        let flows = delivered
+            .into_iter()
+            .zip(rates)
+            .zip(dropped)
+            .map(|((delivered_bits, final_rate), dropped_frames)| FlowStats {
+                delivered_bits,
+                dropped_frames,
+                final_rate,
+            })
+            .collect();
+        let mut switch_queues = Vec::with_capacity(n_switches);
+        for _ in 0..n_switches {
+            switch_queues.push(take_series(lines, "switch_queue")?);
+        }
+        Ok(NetReport {
+            flows,
+            switch_queues,
+            pause_counts,
+            feedback_messages: get_u64(&c, "feedback_messages")?,
+            faults,
+            telemetry: None,
+        })
     }
 }
 
 fn put_samples(out: &mut String, name: &str, vals: &[f64]) {
-    let _ = writeln!(out, r#"{{"type":"samples","name":"{name}","values":"{}"}}"#, pack_f64s(vals));
+    let _ =
+        writeln!(out, r#"{{"type":"samples","name":"{name}","values":"{}"}}"#, pack(vals, fmt_num));
 }
 
 fn put_fault_counts(out: &mut String, f: &FaultCounts) {
@@ -847,81 +929,15 @@ fn put_series(out: &mut String, name: &str, entity: Option<usize>, s: &crate::me
     if let Some(e) = entity {
         let _ = write!(line, r#","entity":{e}"#);
     }
-    let _ =
-        write!(line, r#","times":"{}","values":"{}""#, pack_f64s(s.times()), pack_f64s(s.values()));
+    let _ = write!(
+        line,
+        r#","times":"{}","values":"{}""#,
+        pack(s.times(), fmt_num),
+        pack(s.values(), fmt_num)
+    );
     line.push('}');
     out.push_str(&line);
     out.push('\n');
-}
-
-/// Decodes one seed's outcome block written by [`encode_seed_outcome`],
-/// consuming exactly its lines.
-///
-/// # Errors
-///
-/// Fails on truncation or malformed records; a resuming batch treats
-/// that as "seed not done" and re-runs it.
-pub fn decode_seed_outcome<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-) -> Result<(u64, SeedOutcome), CheckpointError> {
-    let head = next_record(lines, "`seed` record")?;
-    expect_type(&head, "seed")?;
-    let seed = get_split_u64(&head, "seed")?;
-    let kind = get_str(&head, "outcome")?.to_string();
-    let retries = get_u32(&head, "retries")?;
-    let events = get_u64(&head, "events")?;
-    let has_tel = get_bool(&head, "has_telemetry")?;
-    let cause = get_str(&head, "cause")?.to_string();
-    let outcome = match kind.as_str() {
-        "completed" => {
-            let c = next_record(lines, "`sim_counters` record")?;
-            expect_type(&c, "sim_counters")?;
-            let sources = get_u64(&c, "sources")? as usize;
-            let faults = take_fault_counts(lines)?;
-            let final_rates = take_samples(lines, "final_rates")?;
-            let per_source_bits = take_samples(lines, "per_source_bits")?;
-            let delay_vals = take_samples(lines, "queueing_delay")?;
-            let queue = take_series(lines, "queue")?;
-            let aggregate_rate = take_series(lines, "aggregate_rate")?;
-            let mut per_source_rate = Vec::with_capacity(sources);
-            for _ in 0..sources {
-                per_source_rate.push(take_series(lines, "rate")?);
-            }
-            let mut queueing_delay = crate::metrics::SampleSet::new();
-            for v in delay_vals {
-                queueing_delay.push(v);
-            }
-            let metrics = SimMetrics {
-                queue,
-                aggregate_rate,
-                delivered_frames: get_u64(&c, "delivered_frames")?,
-                dropped_frames: get_u64(&c, "dropped_frames")?,
-                feedback_messages: get_u64(&c, "feedback_messages")?,
-                pause_events: get_u64(&c, "pause_events")?,
-                per_source_bits,
-                delivered_bits: get_f64(&c, "delivered_bits")?,
-                queueing_delay,
-                per_source_rate,
-                faults,
-            };
-            let telemetry = if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None };
-            SeedOutcome::Completed(Box::new(SimReport { metrics, final_rates, telemetry }))
-        }
-        "failed" => {
-            let telemetry =
-                if has_tel { Some(Box::new(snapshot_from_jsonl(lines)?)) } else { None };
-            SeedOutcome::Failed { cause, retries, telemetry }
-        }
-        "timed_out" => {
-            let telemetry =
-                if has_tel { Some(Box::new(snapshot_from_jsonl(lines)?)) } else { None };
-            SeedOutcome::TimedOut { events, telemetry }
-        }
-        other => {
-            return Err(CheckpointError::Format(format!("unknown seed outcome `{other}`")));
-        }
-    };
-    Ok((seed, outcome))
 }
 
 fn take_samples<'a, I: Iterator<Item = &'a str>>(
@@ -934,7 +950,7 @@ fn take_samples<'a, I: Iterator<Item = &'a str>>(
     if found != name {
         return Err(CheckpointError::Format(format!("expected samples `{name}`, found `{found}`")));
     }
-    unpack_f64s(get_str(&r, "values")?, name)
+    unpack(get_str(&r, "values")?, name, |t| parse_num(t, name))
 }
 
 fn take_series<'a, I: Iterator<Item = &'a str>>(
@@ -947,8 +963,8 @@ fn take_series<'a, I: Iterator<Item = &'a str>>(
     if found != name {
         return Err(CheckpointError::Format(format!("expected series `{name}`, found `{found}`")));
     }
-    let times = unpack_f64s(get_str(&r, "times")?, name)?;
-    let values = unpack_f64s(get_str(&r, "values")?, name)?;
+    let times = unpack(get_str(&r, "times")?, name, |t| parse_num(t, name))?;
+    let values = unpack(get_str(&r, "values")?, name, |t| parse_num(t, name))?;
     if times.len() != values.len() {
         return Err(CheckpointError::Format(format!(
             "series `{name}`: {} times vs {} values",
@@ -964,152 +980,24 @@ fn take_series<'a, I: Iterator<Item = &'a str>>(
 }
 
 // ---------------------------------------------------------------------
-// Net seed-outcome codec
-// ---------------------------------------------------------------------
-
-/// Appends the record block for one network seed's [`NetSeedOutcome`]
-/// — the shard payload of a [`NetBatchCheckpoint`]. Completed reports
-/// carry every per-flow statistic, the per-switch queue series, the
-/// per-link PAUSE counts, fault tallies, and the telemetry shard, so a
-/// decoded outcome merges back byte-identically.
-pub fn encode_net_seed_outcome(seed: u64, outcome: &NetSeedOutcome, out: &mut String) {
-    let (kind, cause, events, tel) = match outcome {
-        NetSeedOutcome::Completed(report) => {
-            ("completed", String::new(), 0, report.telemetry.as_ref())
-        }
-        NetSeedOutcome::Failed { cause, telemetry } => {
-            ("failed", cause.clone(), 0, telemetry.as_deref())
-        }
-        NetSeedOutcome::TimedOut { events, telemetry } => {
-            ("timed_out", String::new(), *events, telemetry.as_deref())
-        }
-    };
-    let mut line = String::from(r#"{"type":"net_seed""#);
-    put_split_u64(&mut line, "seed", seed);
-    let _ = write!(
-        line,
-        r#","outcome":"{kind}","events":{events},"has_telemetry":{},"cause":"{cause}""#,
-        tel.is_some(),
-    );
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
-    if let NetSeedOutcome::Completed(report) = outcome {
-        let _ = writeln!(
-            out,
-            r#"{{"type":"net_counters","feedback_messages":{},"flows":{},"switches":{},"pause_counts":"{}","dropped_frames":"{}"}}"#,
-            report.feedback_messages,
-            report.flows.len(),
-            report.switch_queues.len(),
-            pack_u64s(&report.pause_counts),
-            pack_u64s(&report.flows.iter().map(|f| f.dropped_frames).collect::<Vec<_>>()),
-        );
-        put_fault_counts(out, &report.faults);
-        let delivered: Vec<f64> = report.flows.iter().map(|f| f.delivered_bits).collect();
-        let rates: Vec<f64> = report.flows.iter().map(|f| f.final_rate).collect();
-        put_samples(out, "delivered_bits", &delivered);
-        put_samples(out, "final_rate", &rates);
-        for (i, s) in report.switch_queues.iter().enumerate() {
-            put_series(out, "switch_queue", Some(i), s);
-        }
-    }
-    if let Some(t) = tel {
-        out.push_str(&snapshot_to_jsonl(t));
-    }
-}
-
-/// Decodes one network seed's outcome block written by
-/// [`encode_net_seed_outcome`], consuming exactly its lines.
-///
-/// # Errors
-///
-/// Fails on truncation or malformed records; a resuming batch treats
-/// that as "seed not done" and re-runs it.
-pub fn decode_net_seed_outcome<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-) -> Result<(u64, NetSeedOutcome), CheckpointError> {
-    let head = next_record(lines, "`net_seed` record")?;
-    expect_type(&head, "net_seed")?;
-    let seed = get_split_u64(&head, "seed")?;
-    let kind = get_str(&head, "outcome")?.to_string();
-    let events = get_u64(&head, "events")?;
-    let has_tel = get_bool(&head, "has_telemetry")?;
-    let cause = get_str(&head, "cause")?.to_string();
-    let outcome = match kind.as_str() {
-        "completed" => {
-            let c = next_record(lines, "`net_counters` record")?;
-            expect_type(&c, "net_counters")?;
-            let n_flows = get_u64(&c, "flows")? as usize;
-            let n_switches = get_u64(&c, "switches")? as usize;
-            let pause_counts = unpack_u64s(get_str(&c, "pause_counts")?, "pause_counts")?;
-            let dropped = unpack_u64s(get_str(&c, "dropped_frames")?, "dropped_frames")?;
-            let faults = take_fault_counts(lines)?;
-            let delivered = take_samples(lines, "delivered_bits")?;
-            let rates = take_samples(lines, "final_rate")?;
-            if delivered.len() != n_flows || rates.len() != n_flows || dropped.len() != n_flows {
-                return Err(CheckpointError::Format(format!(
-                    "net shard: {n_flows} flows vs {} delivered / {} rates / {} drop counts",
-                    delivered.len(),
-                    rates.len(),
-                    dropped.len()
-                )));
-            }
-            let flows = delivered
-                .into_iter()
-                .zip(rates)
-                .zip(dropped)
-                .map(|((delivered_bits, final_rate), dropped_frames)| FlowStats {
-                    delivered_bits,
-                    dropped_frames,
-                    final_rate,
-                })
-                .collect();
-            let mut switch_queues = Vec::with_capacity(n_switches);
-            for _ in 0..n_switches {
-                switch_queues.push(take_series(lines, "switch_queue")?);
-            }
-            let telemetry = if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None };
-            NetSeedOutcome::Completed(Box::new(NetReport {
-                flows,
-                switch_queues,
-                pause_counts,
-                feedback_messages: get_u64(&c, "feedback_messages")?,
-                faults,
-                telemetry,
-            }))
-        }
-        "failed" => {
-            let telemetry =
-                if has_tel { Some(Box::new(snapshot_from_jsonl(lines)?)) } else { None };
-            NetSeedOutcome::Failed { cause, telemetry }
-        }
-        "timed_out" => {
-            let telemetry =
-                if has_tel { Some(Box::new(snapshot_from_jsonl(lines)?)) } else { None };
-            NetSeedOutcome::TimedOut { events, telemetry }
-        }
-        other => {
-            return Err(CheckpointError::Format(format!("unknown net seed outcome `{other}`")));
-        }
-    };
-    Ok((seed, outcome))
-}
-
-// ---------------------------------------------------------------------
 // The checkpoint store
 // ---------------------------------------------------------------------
 
 /// A batch checkpoint directory: per-seed outcome shards plus an
 /// append-only, fsynced manifest acknowledging each finished seed.
 /// See the module docs for the crash-consistency argument.
+///
+/// The manifest is keyed by the batch's [`SeedBatch::digest`], so a
+/// directory written by another configuration — or by the other engine
+/// — is rejected on resume.
 #[derive(Debug)]
-pub struct BatchCheckpoint {
+pub struct BatchCheckpoint<P: SeedBatch = BatchConfig> {
     dir: PathBuf,
     manifest: Mutex<fs::File>,
-    restored: Mutex<BTreeMap<u64, SeedOutcome>>,
+    restored: Mutex<BTreeMap<u64, SeedOutcome<ReportOf<P>>>>,
 }
 
-impl BatchCheckpoint {
+impl<P: SeedBatch> BatchCheckpoint<P> {
     /// Starts a fresh checkpoint in `dir` (created if needed).
     ///
     /// # Errors
@@ -1117,7 +1005,7 @@ impl BatchCheckpoint {
     /// Fails if `dir` already holds a manifest (refuse to silently
     /// clobber a previous run — resume it or pick a fresh directory) or
     /// on I/O errors.
-    pub fn create(dir: &Path, cfg: &BatchConfig) -> Result<Self, CheckpointError> {
+    pub fn create(dir: &Path, cfg: &P) -> Result<Self, CheckpointError> {
         if dir.join(MANIFEST_FILE).exists() {
             return Err(CheckpointError::Format(format!(
                 "{} already contains a manifest; resume it or use a fresh directory",
@@ -1137,19 +1025,19 @@ impl BatchCheckpoint {
     /// Fails on I/O errors, a malformed manifest header, or
     /// [`CheckpointError::ConfigMismatch`] when the directory belongs
     /// to a different batch configuration.
-    pub fn resume(dir: &Path, cfg: &BatchConfig) -> Result<Self, CheckpointError> {
+    pub fn resume(dir: &Path, cfg: &P) -> Result<Self, CheckpointError> {
         Self::open(dir, cfg)
     }
 
-    fn open(dir: &Path, cfg: &BatchConfig) -> Result<Self, CheckpointError> {
+    fn open(dir: &Path, cfg: &P) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir)?;
-        let digest = batch_config_digest(cfg);
+        let digest = cfg.digest();
         let path = dir.join(MANIFEST_FILE);
         let mut restored = BTreeMap::new();
         if path.exists() {
             let text = fs::read_to_string(&path)?;
             for seed in parse_manifest(&text, digest)? {
-                if !cfg.seeds.contains(&seed) {
+                if !cfg.seeds().contains(&seed) {
                     continue;
                 }
                 if let Some(outcome) = load_shard(dir, seed) {
@@ -1160,7 +1048,7 @@ impl BatchCheckpoint {
             let mut text = schema_header();
             text.push('\n');
             let mut line = String::from(r#"{"type":"batch_manifest""#);
-            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds.len());
+            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds().len());
             line.push('}');
             text.push_str(&line);
             text.push('\n');
@@ -1181,7 +1069,7 @@ impl BatchCheckpoint {
     }
 
     /// Hands the restored outcome for `seed` to the runner (once).
-    pub(crate) fn take_restored(&self, seed: u64) -> Option<SeedOutcome> {
+    pub(crate) fn take_restored(&self, seed: u64) -> Option<SeedOutcome<ReportOf<P>>> {
         self.restored.lock().expect("restored lock").remove(&seed)
     }
 
@@ -1194,7 +1082,11 @@ impl BatchCheckpoint {
     ///
     /// Fails on I/O errors; the batch runner surfaces the first one and
     /// aborts rather than silently running uncheckpointed.
-    pub fn record(&self, seed: u64, outcome: &SeedOutcome) -> Result<(), CheckpointError> {
+    pub fn record(
+        &self,
+        seed: u64,
+        outcome: &SeedOutcome<ReportOf<P>>,
+    ) -> Result<(), CheckpointError> {
         let mut text = schema_header();
         text.push('\n');
         encode_seed_outcome(seed, outcome, &mut text);
@@ -1244,125 +1136,11 @@ fn parse_manifest(text: &str, expected: u64) -> Result<Vec<u64>, CheckpointError
 /// Loads one acknowledged shard; any failure (missing file, torn or
 /// version-skewed content, seed mismatch) yields `None` so the seed
 /// re-runs.
-fn load_shard(dir: &Path, seed: u64) -> Option<SeedOutcome> {
+fn load_shard<R: SeedReport>(dir: &Path, seed: u64) -> Option<SeedOutcome<R>> {
     let text = fs::read_to_string(dir.join(shard_name(seed))).ok()?;
     let mut lines = text.lines();
     check_schema_header(lines.next()?).ok()?;
     let (found, outcome) = decode_seed_outcome(&mut lines).ok()?;
-    (found == seed).then_some(outcome)
-}
-
-/// The [`BatchCheckpoint`] counterpart for network batches
-/// ([`crate::batch::run_net_batch_checkpointed`]): identical shard +
-/// manifest discipline and the same crash-consistency argument, keyed
-/// by [`net_batch_config_digest`] so a sim-batch directory (or any
-/// other configuration) is rejected on resume.
-#[derive(Debug)]
-pub struct NetBatchCheckpoint {
-    dir: PathBuf,
-    manifest: Mutex<fs::File>,
-    restored: Mutex<BTreeMap<u64, NetSeedOutcome>>,
-}
-
-impl NetBatchCheckpoint {
-    /// Starts a fresh checkpoint in `dir` (created if needed).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `dir` already holds a manifest or on I/O errors.
-    pub fn create(dir: &Path, cfg: &NetBatchConfig) -> Result<Self, CheckpointError> {
-        if dir.join(MANIFEST_FILE).exists() {
-            return Err(CheckpointError::Format(format!(
-                "{} already contains a manifest; resume it or use a fresh directory",
-                dir.display()
-            )));
-        }
-        Self::open(dir, cfg)
-    }
-
-    /// Opens `dir` for a (possibly resumed) run, restoring every
-    /// acknowledged, readable shard; unreadable shards simply re-run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, a malformed manifest header, or
-    /// [`CheckpointError::ConfigMismatch`].
-    pub fn resume(dir: &Path, cfg: &NetBatchConfig) -> Result<Self, CheckpointError> {
-        Self::open(dir, cfg)
-    }
-
-    fn open(dir: &Path, cfg: &NetBatchConfig) -> Result<Self, CheckpointError> {
-        fs::create_dir_all(dir)?;
-        let digest = net_batch_config_digest(cfg);
-        let path = dir.join(MANIFEST_FILE);
-        let mut restored = BTreeMap::new();
-        if path.exists() {
-            let text = fs::read_to_string(&path)?;
-            for seed in parse_manifest(&text, digest)? {
-                if !cfg.seeds.contains(&seed) {
-                    continue;
-                }
-                if let Some(outcome) = load_net_shard(dir, seed) {
-                    restored.insert(seed, outcome);
-                }
-            }
-        } else {
-            let mut text = schema_header();
-            text.push('\n');
-            let mut line = String::from(r#"{"type":"batch_manifest""#);
-            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds.len());
-            line.push('}');
-            text.push_str(&line);
-            text.push('\n');
-            write_atomic(&path, &text)?;
-        }
-        let manifest = fs::OpenOptions::new().append(true).open(&path)?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            manifest: Mutex::new(manifest),
-            restored: Mutex::new(restored),
-        })
-    }
-
-    /// Seeds whose outcomes were restored from disk, ascending.
-    #[must_use]
-    pub fn restored_seeds(&self) -> Vec<u64> {
-        self.restored.lock().expect("restored lock").keys().copied().collect()
-    }
-
-    /// Hands the restored outcome for `seed` to the runner (once).
-    pub(crate) fn take_restored(&self, seed: u64) -> Option<NetSeedOutcome> {
-        self.restored.lock().expect("restored lock").remove(&seed)
-    }
-
-    /// Persists one finished seed: atomic shard write, then an fsynced
-    /// manifest acknowledgement (see [`BatchCheckpoint::record`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors; the batch runner aborts on the first one.
-    pub fn record(&self, seed: u64, outcome: &NetSeedOutcome) -> Result<(), CheckpointError> {
-        let mut text = schema_header();
-        text.push('\n');
-        encode_net_seed_outcome(seed, outcome, &mut text);
-        write_atomic(&self.dir.join(shard_name(seed)), &text)?;
-        let mut line = String::from(r#"{"type":"done""#);
-        put_split_u64(&mut line, "seed", seed);
-        line.push_str("}\n");
-        let mut f = self.manifest.lock().expect("manifest lock");
-        f.write_all(line.as_bytes())?;
-        f.sync_data()?;
-        Ok(())
-    }
-}
-
-/// Loads one acknowledged network shard; any failure yields `None` so
-/// the seed re-runs.
-fn load_net_shard(dir: &Path, seed: u64) -> Option<NetSeedOutcome> {
-    let text = fs::read_to_string(dir.join(shard_name(seed))).ok()?;
-    let mut lines = text.lines();
-    check_schema_header(lines.next()?).ok()?;
-    let (found, outcome) = decode_net_seed_outcome(&mut lines).ok()?;
     (found == seed).then_some(outcome)
 }
 
@@ -1495,7 +1273,7 @@ pub fn replay_spec_from_postmortem(text: &str) -> Result<ReplaySpec, CheckpointE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::run_batch;
+    use crate::batch::{run_batch, run_batch_checkpointed};
     use telemetry::TelemetryLevel;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1565,32 +1343,24 @@ mod tests {
         // one batch exercises all three outcome arms of the codec.
         cfg.max_events_per_seed = Some(400);
         let report = run_batch(&cfg);
-        let kinds: Vec<&str> = report
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                SeedOutcome::Completed(_) => "completed",
-                SeedOutcome::Failed { .. } => "failed",
-                SeedOutcome::TimedOut { .. } => "timed_out",
-            })
-            .collect();
+        let kinds = outcome_kinds(&report);
         assert_eq!(kinds, ["timed_out", "failed", "timed_out"], "outcomes: {kinds:?}");
         let mut completed_cfg = faulty_batch(1);
         completed_cfg.max_seed_retries = 3;
         let completed = run_batch(&completed_cfg);
         assert_eq!(completed.completed().count(), 1);
-        let all: Vec<(u64, &SeedOutcome)> = report
-            .seeds
-            .iter()
-            .zip(&report.outcomes)
-            .chain(completed.seeds.iter().zip(&completed.outcomes))
-            .map(|(&s, o)| (s, o))
-            .collect();
-        for (seed, outcome) in all {
+        assert_round_trips(&report);
+        assert_round_trips(&completed);
+    }
+
+    /// Every outcome of `report` must decode from its encoding, consume
+    /// exactly its block, and re-encode to the same bytes.
+    fn assert_round_trips<R: SeedReport>(report: &crate::batch::BatchReport<R>) {
+        for (&seed, outcome) in report.seeds.iter().zip(&report.outcomes) {
             let mut text = String::new();
             encode_seed_outcome(seed, outcome, &mut text);
             let mut lines = text.lines();
-            let (dseed, decoded) = decode_seed_outcome(&mut lines).expect("decode");
+            let (dseed, decoded) = decode_seed_outcome::<R, _>(&mut lines).expect("decode");
             assert_eq!(dseed, seed);
             assert_eq!(lines.next(), None, "decoder must consume the whole block");
             let mut re = String::new();
@@ -1599,32 +1369,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_store_round_trips_and_rejects_mismatched_config() {
-        let dir = scratch("store");
-        let cfg = faulty_batch(2);
-        let ck = BatchCheckpoint::create(&dir, &cfg).expect("create");
-        let report = run_batch(&cfg);
-        for (&seed, outcome) in report.seeds.iter().zip(&report.outcomes) {
-            ck.record(seed, outcome).expect("record");
-        }
+    fn outcome_kinds<R>(report: &crate::batch::BatchReport<R>) -> Vec<&'static str> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                SeedOutcome::Completed(_) => "completed",
+                SeedOutcome::Failed { .. } => "failed",
+                SeedOutcome::TimedOut { .. } => "timed_out",
+            })
+            .collect()
+    }
+
+    /// Records a whole batch, then checks that `create` refuses the
+    /// populated directory and `resume` restores every seed.
+    fn recorded_store<B: SeedBatch>(cfg: &B, tag: &str) -> PathBuf {
+        let dir = scratch(tag);
+        let ck = BatchCheckpoint::create(&dir, cfg).expect("create");
+        run_batch_checkpointed(cfg, &ck).expect("run");
         drop(ck);
         assert!(
-            matches!(BatchCheckpoint::create(&dir, &cfg), Err(CheckpointError::Format(_))),
+            matches!(BatchCheckpoint::create(&dir, cfg), Err(CheckpointError::Format(_))),
             "create must refuse an existing manifest"
         );
-        let ck = BatchCheckpoint::resume(&dir, &cfg).expect("resume");
-        assert_eq!(ck.restored_seeds(), cfg.seeds);
-        drop(ck);
-        let mut other = cfg.clone();
-        other.rate_jitter_frac += 0.01;
-        match BatchCheckpoint::resume(&dir, &other) {
-            Err(CheckpointError::ConfigMismatch { expected, found }) => {
+        let ck = BatchCheckpoint::resume(&dir, cfg).expect("resume");
+        assert_eq!(ck.restored_seeds(), cfg.seeds());
+        dir
+    }
+
+    fn assert_mismatch<P: SeedBatch>(resumed: Result<BatchCheckpoint<P>, CheckpointError>) {
+        match resumed.err() {
+            Some(CheckpointError::ConfigMismatch { expected, found }) => {
                 assert_ne!(expected, found);
             }
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_store_round_trips_and_rejects_mismatched_configs() {
+        let (sim, net) = (faulty_batch(2), net_faulty_batch(2));
+        let sim_dir = recorded_store(&sim, "store");
+        let net_dir = recorded_store(&net, "net-store");
+        let mut other = sim.clone();
+        other.rate_jitter_frac += 0.01;
+        assert_mismatch(BatchCheckpoint::resume(&sim_dir, &other));
+        let mut other = net.clone();
+        other.rate_jitter_frac += 0.01;
+        assert_mismatch(BatchCheckpoint::resume(&net_dir, &other));
+        // Neither engine resumes the other's directory.
+        assert_mismatch(BatchCheckpoint::resume(&net_dir, &sim));
+        assert_mismatch(BatchCheckpoint::resume(&sim_dir, &net));
+        let _ = fs::remove_dir_all(&sim_dir);
+        let _ = fs::remove_dir_all(&net_dir);
     }
 
     #[test]
@@ -1665,16 +1462,13 @@ mod tests {
         assert_eq!(spec.max_events, None);
     }
 
-    fn net_faulty_batch(n: u64) -> crate::batch::NetBatchConfig {
+    fn net_faulty_batch(n: u64) -> NetBatchConfig {
         let spec = crate::topo::TopoSpec::leaf_spine(2, 1, 3);
         let traffic = crate::topo::Traffic::Incast { senders: 3, dst: usize::MAX, load: 2.0 };
         let mut base = crate::topo::compile(&spec, &traffic, 0.004).expect("compile");
         base.faults.seed = 11;
         base.faults.feedback_loss = 0.2;
-        crate::batch::NetBatchConfig {
-            level: telemetry::TelemetryLevel::Summary,
-            ..crate::batch::NetBatchConfig::quick(base, n)
-        }
+        NetBatchConfig { level: TelemetryLevel::Summary, ..NetBatchConfig::quick(base, n) }
     }
 
     #[test]
@@ -1682,88 +1476,13 @@ mod tests {
         let mut cfg = net_faulty_batch(3);
         cfg.panic_seeds = vec![1];
         cfg.max_events_per_seed = Some(400);
-        let report = crate::batch::run_net_batch(&cfg);
-        let kinds: Vec<&str> = report
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                crate::batch::NetSeedOutcome::Completed(_) => "completed",
-                crate::batch::NetSeedOutcome::Failed { .. } => "failed",
-                crate::batch::NetSeedOutcome::TimedOut { .. } => "timed_out",
-            })
-            .collect();
+        let report = run_batch(&cfg);
+        let kinds = outcome_kinds(&report);
         assert_eq!(kinds, ["timed_out", "failed", "timed_out"], "outcomes: {kinds:?}");
-        let completed = crate::batch::run_net_batch(&net_faulty_batch(1));
+        let completed = run_batch(&net_faulty_batch(1));
         assert_eq!(completed.completed().count(), 1);
-        let all: Vec<(u64, &crate::batch::NetSeedOutcome)> = report
-            .seeds
-            .iter()
-            .zip(&report.outcomes)
-            .chain(completed.seeds.iter().zip(&completed.outcomes))
-            .map(|(&s, o)| (s, o))
-            .collect();
-        for (seed, outcome) in all {
-            let mut text = String::new();
-            encode_net_seed_outcome(seed, outcome, &mut text);
-            let mut lines = text.lines();
-            let (dseed, decoded) = decode_net_seed_outcome(&mut lines).expect("decode");
-            assert_eq!(dseed, seed);
-            assert_eq!(lines.next(), None, "decoder must consume the whole block");
-            let mut re = String::new();
-            encode_net_seed_outcome(dseed, &decoded, &mut re);
-            assert_eq!(re, text, "seed {seed} round trip not byte-exact");
-        }
-    }
-
-    #[test]
-    fn net_checkpoint_resumes_bit_exactly_and_rejects_mismatches() {
-        let dir = scratch("net-store");
-        let cfg = net_faulty_batch(3);
-        let ck = NetBatchCheckpoint::create(&dir, &cfg).expect("create");
-        let full = crate::batch::run_net_batch_checkpointed(&cfg, &ck).expect("run");
-        assert_eq!(full.completed().count(), 3);
-        drop(ck);
-        // Simulate a crash: drop the acknowledgements for seeds 1 and 2
-        // (ack order is thread-dependent, so filter by content rather
-        // than position) and re-run; restored + fresh outcomes must
-        // merge identically.
-        let manifest = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&manifest).expect("read manifest");
-        let keep: Vec<&str> = text
-            .lines()
-            .filter(|l| !l.contains(r#""type":"done""#) || l.contains(r#""seed_lo":0"#))
-            .collect();
-        fs::write(&manifest, keep.join("\n") + "\n").expect("truncate manifest");
-        let ck = NetBatchCheckpoint::resume(&dir, &cfg).expect("resume");
-        assert_eq!(ck.restored_seeds(), vec![0], "only seed 0 stays acknowledged");
-        let resumed = crate::batch::run_net_batch_checkpointed(&cfg, &ck).expect("resume run");
-        assert_eq!(resumed.supervisor.resumed, 1);
-        for ((_, a), (_, b)) in full.completed().zip(resumed.completed()) {
-            assert_eq!(a.flows, b.flows);
-            assert_eq!(a.pause_counts, b.pause_counts);
-            for (x, y) in a.switch_queues.iter().zip(&b.switch_queues) {
-                assert_eq!(x.values(), y.values());
-            }
-        }
-        drop(ck);
-        let mut other = cfg.clone();
-        other.rate_jitter_frac += 0.01;
-        assert!(
-            matches!(
-                NetBatchCheckpoint::resume(&dir, &other),
-                Err(CheckpointError::ConfigMismatch { .. })
-            ),
-            "a perturbed config must be rejected"
-        );
-        // A sim-batch checkpoint is a different configuration entirely.
-        assert!(
-            matches!(
-                BatchCheckpoint::resume(&dir, &faulty_batch(3)),
-                Err(CheckpointError::ConfigMismatch { .. })
-            ),
-            "sim batches must not resume a net-batch directory"
-        );
-        let _ = fs::remove_dir_all(&dir);
+        assert_round_trips(&report);
+        assert_round_trips(&completed);
     }
 
     #[test]

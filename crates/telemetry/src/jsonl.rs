@@ -33,20 +33,13 @@ pub fn schema_header() -> String {
 /// instead of misparsing them.
 pub fn check_schema_header(line: &str) -> Result<(), JsonlError> {
     let fields = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&Scalar, JsonlError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonlError(format!("missing field `{key}` in schema header")))
-    };
-    let ty = get("type")?.as_str("type")?;
+    let ty = field(&fields, "type")?.as_str("type")?;
     if ty != "schema" {
         return Err(JsonlError(format!(
             "first record is `{ty}`, not a schema header (stale or truncated trace file?)"
         )));
     }
-    let version = get("version")?.as_u32("version")?;
+    let version = field(&fields, "version")?.as_u32("version")?;
     if version != TRACE_SCHEMA_VERSION {
         return Err(JsonlError(format!(
             "unsupported trace schema version {version} (this build reads {TRACE_SCHEMA_VERSION})"
@@ -249,6 +242,64 @@ pub fn parse_scalars(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
     parse_flat_object(line)
 }
 
+/// Looks `key` up in a record parsed by [`parse_scalars`].
+///
+/// # Errors
+///
+/// Fails when the record has no such field.
+pub fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, JsonlError> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
+}
+
+/// Parses the next line of a record stream; `what` names the expected
+/// record in the truncation error.
+///
+/// # Errors
+///
+/// Fails when `lines` is exhausted or the line is not a flat object.
+pub fn next_record<'a, I: Iterator<Item = &'a str>>(
+    lines: &mut I,
+    what: &str,
+) -> Result<Vec<(String, Scalar)>, JsonlError> {
+    let line =
+        lines.next().ok_or_else(|| JsonlError(format!("truncated input: expected {what}")))?;
+    parse_scalars(line)
+}
+
+/// Checks a parsed record's `type` field.
+///
+/// # Errors
+///
+/// Fails when the field is missing or names another record type.
+pub fn expect_type(fields: &[(String, Scalar)], want: &str) -> Result<(), JsonlError> {
+    let ty = field(fields, "type")?.as_str("type")?;
+    if ty == want {
+        Ok(())
+    } else {
+        Err(JsonlError(format!("expected `{want}` record, found `{ty}`")))
+    }
+}
+
+/// Parses a bare number token with the codec's conventions (`NaN`,
+/// `inf`, `-inf`, else shortest-round-trip decimal), for numbers packed
+/// inside string fields; `what` names the field in errors.
+///
+/// # Errors
+///
+/// Fails when `tok` is not a number.
+pub fn parse_num(tok: &str, what: &str) -> Result<f64, JsonlError> {
+    match tok {
+        "NaN" => Ok(f64::NAN),
+        "inf" => Ok(f64::INFINITY),
+        "-inf" => Ok(f64::NEG_INFINITY),
+        _ => tok.parse::<f64>().map_err(|_| JsonlError(format!("bad number `{tok}` in {what}"))),
+    }
+}
+
 fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
     let s = line.trim();
     let inner = s
@@ -276,17 +327,11 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
         } else {
             let end = rest.find(',').unwrap_or(rest.len());
             let token = rest[..end].trim();
-            let v =
-                match token {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    "NaN" => Scalar::Num(f64::NAN),
-                    "inf" => Scalar::Num(f64::INFINITY),
-                    "-inf" => Scalar::Num(f64::NEG_INFINITY),
-                    _ => Scalar::Num(token.parse::<f64>().map_err(|_| {
-                        JsonlError(format!("bad scalar `{token}` for key `{key}`"))
-                    })?),
-                };
+            let v = match token {
+                "true" => Scalar::Bool(true),
+                "false" => Scalar::Bool(false),
+                _ => Scalar::Num(parse_num(token, &key)?),
+            };
             (v, &rest[end..])
         };
         fields.push((key, value));

@@ -22,7 +22,7 @@
 //! bases stay far below that, and the decoder rejects anything bigger
 //! rather than silently rounding.
 
-use crate::jsonl::{fmt_num, parse_scalars, JsonlError, Scalar};
+use crate::jsonl::{expect_type, field, fmt_num, next_record, parse_num, JsonlError};
 use crate::series::TimeSeries;
 use crate::trace::EventTrace;
 use crate::{event_from_jsonl, event_to_jsonl, Gauge, Histogram, SeriesKind, SpanInfo, SpanKind};
@@ -114,46 +114,6 @@ pub fn snapshot_to_jsonl(tel: &Telemetry) -> String {
         out.push('\n');
     }
     out
-}
-
-fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, JsonlError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| JsonlError(format!("missing field `{key}` in snapshot record")))
-}
-
-fn next_record<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    what: &str,
-) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| JsonlError(format!("truncated snapshot: expected {what} record")))?;
-    parse_scalars(line)
-}
-
-fn expect_type(fields: &[(String, Scalar)], want: &str) -> Result<(), JsonlError> {
-    let ty = field(fields, "type")?.as_str("type")?;
-    if ty == want {
-        Ok(())
-    } else {
-        Err(JsonlError(format!("expected `{want}` snapshot record, found `{ty}`")))
-    }
-}
-
-/// Parses a number token using the codec's conventions (`NaN`, `inf`,
-/// `-inf`, else shortest-round-trip decimal).
-fn parse_num(tok: &str, what: &str) -> Result<f64, JsonlError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        _ => tok
-            .parse::<f64>()
-            .map_err(|_| JsonlError(format!("bad number `{tok}` in snapshot {what}"))),
-    }
 }
 
 /// Decodes a telemetry snapshot produced by [`snapshot_to_jsonl`],

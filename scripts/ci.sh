@@ -198,6 +198,28 @@ out=$(./target/release/dcebcn batch $kr_flags --checkpoint-dir "$kr_dir/ckpt" \
 echo "$out" | grep -q "supervision: 48 seed(s) restored from checkpoint"
 cmp "$kr_dir/clean.csv" "$kr_dir/resumed2.csv"
 
+echo "== fabric kill-and-resume smoke (SIGKILL mid-batch, byte-identical artifact) =="
+# The same crash contract on the multi-hop engine: a compiled
+# leaf-spine incast batch killed at an arbitrary point resumes to the
+# clean run's CSV, and a second resume restores every seed. The longer
+# horizon keeps the batch running when the signal lands.
+fk_dir=$(mktemp -d)
+fk_flags="--topo $topo_spec --traffic incast:senders=16 --seeds 24 --t-end 0.05"
+./target/release/dcebcn batch $fk_flags --out "$fk_dir/clean.csv" >/dev/null
+./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --out "$fk_dir/killed.csv" >/dev/null 2>&1 &
+fk_pid=$!
+sleep 0.1
+kill -9 "$fk_pid" 2>/dev/null || true
+wait "$fk_pid" 2>/dev/null || true
+./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --resume --out "$fk_dir/resumed.csv" >/dev/null
+cmp "$fk_dir/clean.csv" "$fk_dir/resumed.csv"
+out=$(./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --resume --out "$fk_dir/resumed2.csv")
+echo "$out" | grep -q "24 seed(s) restored"
+cmp "$fk_dir/clean.csv" "$fk_dir/resumed2.csv"
+
 echo "== replay smoke (postmortem dumps re-run deterministically) =="
 # The quarantine smoke's postmortem embeds the seeded config and fault
 # plan; replay must re-run it and reproduce the recorded panic.
