@@ -18,13 +18,10 @@
 //! `DCE_BCN_QUICK` shrinks the grid to 5x5 and skips the speedup gate
 //! (CI smoke mode — the agreement checks still run in full).
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use bcn::simulate::{fluid_trajectory, Engine, FluidOptions};
 use bcn::stability::exact_verdict;
 use bcn::{BcnFluid, BcnParams};
-use bench::common::out_dir;
+use bench::common::{best_of, env_usize, out_dir, quick};
 use bench::experiments::criterion_sweep::{atlas_params, fluid_horizon};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -32,14 +29,6 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const MAX_REL_DELTA: f64 = 1e-6;
 /// Serial per-cell speedup gate at the full grid.
 const MIN_SPEEDUP: f64 = 5.0;
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
-}
 
 /// Timed-run options: accepted-step recording for both engines so the
 /// comparison measures propagation, not sample interpolation.
@@ -56,18 +45,18 @@ fn timing_opts(p: &BcnParams, engine: Engine) -> FluidOptions {
 /// Best-of-`reps` wall time of one full-grid pass at a pinned width.
 fn time_engine(params: &[BcnParams], engine: Engine, threads: usize, reps: usize) -> f64 {
     parkit::set_threads(threads);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let ends = parkit::par_map(params, |p| {
-            let sys = BcnFluid::linearized(p.clone());
-            let run = fluid_trajectory(&sys, p.initial_point(), &timing_opts(p, engine))
-                .expect("engine timing run failed");
-            run.solution.last_state()[0]
-        });
-        black_box(ends);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let (best, _) = best_of(
+        reps,
+        || (),
+        |()| {
+            parkit::par_map(params, |p| {
+                let sys = BcnFluid::linearized(p.clone());
+                let run = fluid_trajectory(&sys, p.initial_point(), &timing_opts(p, engine))
+                    .expect("engine timing run failed");
+                run.solution.last_state()[0]
+            })
+        },
+    );
     parkit::set_threads(0);
     best
 }

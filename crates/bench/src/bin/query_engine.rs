@@ -1,6 +1,6 @@
-//! Batched stability-query engine benchmark and equivalence gate.
+//! Batched stability-query engine benchmark.
 //!
-//! Exercises [`bcn::query::QueryBatch`] against the naive per-call
+//! Times [`bcn::query::QueryBatch`] against the naive per-call
 //! `exact_verdict` + `theorem1_required_buffer` loop on two workloads:
 //!
 //! * **uniform-cold** — every query a distinct configuration, with more
@@ -10,18 +10,13 @@
 //!   configurations, the serving-path shape where batching collapses
 //!   the work to the number of *distinct* questions.
 //!
-//! Three gates:
-//!
-//! 1. **Answer equality** — batched answers must match the naive loop
-//!    bit for bit across the full benchmark workload (always gated).
-//! 2. **Zero steady-state allocations** — with a warm workspace and a
-//!    warm cache, the per-query verdict path performs no heap
-//!    allocations (counted by this binary's own wrapping allocator;
-//!    the library forbids unsafe code, but a bin target is its own
-//!    crate root; always gated).
-//! 3. **Throughput** — serial batched evaluation must be at least 3x
-//!    the naive serial loop on the zipf-hot workload (skipped under
-//!    `DCE_BCN_QUICK`, which also shrinks the workloads to smoke size).
+//! One gate: serial batched evaluation must be at least 3x the naive
+//! serial loop on the zipf-hot workload (skipped under
+//! `DCE_BCN_QUICK`, which also shrinks the workloads to smoke size).
+//! Bitwise answer equality with the naive loop and the warm verdict
+//! path's zero-allocation guarantee are not timing questions; they are
+//! checked by `bcn::query`'s unit tests and `tests/zero_alloc.rs` under
+//! `cargo test`.
 //!
 //! Per-thread QPS rows at 1/2/4/8 workers land in `BENCH_query.json`
 //! under the usual results directory. Run release builds only:
@@ -30,16 +25,11 @@
 //! $ cargo run --release -p bench --bin query_engine
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use bcn::propagate::Propagator;
 use bcn::query::{QueryBatch, StabilityAnswer, StabilityQuery};
-use bcn::stability::{exact_verdict, exact_verdict_scratch, theorem1_required_buffer};
+use bcn::stability::{exact_verdict, theorem1_required_buffer};
 use bcn::BcnParams;
-use bench::common::out_dir;
+use bench::common::{best_of, out_dir, quick};
+use dcesim::faults::splitmix64;
 
 /// Serial batched-vs-naive throughput gate on the zipf-hot workload.
 const MIN_HOT_SPEEDUP: f64 = 3.0;
@@ -48,56 +38,13 @@ const MAX_LEGS: usize = 48;
 /// Worker counts for the QPS rows.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator. Used to prove the warm verdict path allocates nothing;
-/// never enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
-
 // --- deterministic workloads ----------------------------------------------
 
-/// splitmix64: the deterministic PRNG behind the zipf sampler.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A unit-interval draw from the top 53 bits.
+/// A unit-interval draw from the top 53 bits of the splitmix64 stream.
 fn uniform01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    let r = splitmix64(*state);
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    (r >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The `i`-th distinct benchmark configuration: a capacity and gain
@@ -153,50 +100,8 @@ fn naive_answers(queries: &[StabilityQuery]) -> Vec<StabilityAnswer> {
         .collect()
 }
 
-/// Best-of-`reps` wall time of `f`.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Bitwise answer comparison; returns the mismatch count.
-fn mismatches(a: &[StabilityAnswer], b: &[StabilityAnswer]) -> usize {
-    a.iter()
-        .zip(b)
-        .filter(|(x, y)| {
-            x.strongly_stable != y.strongly_stable
-                || x.required_buffer.to_bits() != y.required_buffer.to_bits()
-                || x.max_x.to_bits() != y.max_x.to_bits()
-                || x.min_x.to_bits() != y.min_x.to_bits()
-                || x.legs != y.legs
-        })
-        .count()
-}
-
-/// Steady-state allocation count of the warm per-query verdict path:
-/// workspace and cache warmed first, then `rounds` queries traced.
-fn steady_state_allocations(queries: &[StabilityQuery], rounds: usize) -> u64 {
-    let mut legs = Vec::new();
-    let props: Vec<Propagator> =
-        queries.iter().map(|q| Propagator::for_params(&q.params)).collect();
-    let warm = |legs: &mut Vec<bcn::rounds::Leg>| {
-        for (q, prop) in queries.iter().zip(&props).cycle().take(rounds) {
-            black_box(exact_verdict_scratch(&q.params, prop, q.max_legs, legs));
-        }
-    };
-    warm(&mut legs);
-    let before = allocations();
-    warm(&mut legs);
-    allocations() - before
-}
-
-/// One workload's benchmark block: naive serial time, batched times at
-/// each width, and the bitwise equivalence check.
+/// One workload's benchmark block: naive serial time and batched times
+/// at each width.
 struct WorkloadReport {
     name: &'static str,
     queries: usize,
@@ -204,7 +109,6 @@ struct WorkloadReport {
     groups: usize,
     naive_secs: f64,
     batch_secs: Vec<f64>,
-    mismatches: usize,
 }
 
 fn run_workload(name: &'static str, queries: &[StabilityQuery], reps: usize) -> WorkloadReport {
@@ -212,13 +116,12 @@ fn run_workload(name: &'static str, queries: &[StabilityQuery], reps: usize) -> 
     // Warm the propagator cache equally for both paths (the uniform
     // workload overflows the cache by construction, so it stays cold in
     // the steady state regardless).
-    let batch_answers = batch.evaluate_in(1);
-    let naive = naive_answers(queries);
-    let bad = mismatches(&batch_answers, &naive);
+    let _ = batch.evaluate_in(1);
+    let _ = naive_answers(queries);
 
-    let naive_secs = best_of(reps, || naive_answers(queries));
+    let naive_secs = best_of(reps, || (), |()| naive_answers(queries)).0;
     let batch_secs: Vec<f64> =
-        THREAD_COUNTS.iter().map(|&t| best_of(reps, || batch.evaluate_in(t))).collect();
+        THREAD_COUNTS.iter().map(|&t| best_of(reps, || (), |()| batch.evaluate_in(t)).0).collect();
     WorkloadReport {
         name,
         queries: queries.len(),
@@ -226,7 +129,6 @@ fn run_workload(name: &'static str, queries: &[StabilityQuery], reps: usize) -> 
         groups: batch.groups(),
         naive_secs,
         batch_secs,
-        mismatches: bad,
     }
 }
 
@@ -251,7 +153,7 @@ impl WorkloadReport {
         format!(
             "\"{}\": {{\"queries\": {}, \"distinct\": {}, \"groups\": {}, \
              \"naive_serial\": {{\"secs\": {:.6}, \"qps\": {:.0}}}, \
-             \"batched\": [{}], \"mismatches\": {}}}",
+             \"batched\": [{}]}}",
             self.name,
             self.queries,
             self.distinct,
@@ -259,7 +161,6 @@ impl WorkloadReport {
             self.naive_secs,
             self.qps(self.naive_secs),
             rows.join(", "),
-            self.mismatches,
         )
     }
 
@@ -308,23 +209,19 @@ fn main() {
         cache_delta.hits, cache_delta.misses, cache_delta.evictions
     );
 
-    let steady_allocs = steady_state_allocations(&zipf[..zipf.len().min(1_000)], 1_000);
-    println!("steady-state allocations over 1000 warm queries: {steady_allocs}");
-
     let hot_speedup = hot.naive_secs / hot.batch_secs[0];
-    let total_mismatches = hot.mismatches + cold.mismatches;
     let note = "Batched serial speedup on zipf_hot comes from evaluating each distinct \
                 configuration once (dedup + per-group propagator resolution + reused \
                 per-worker leg workspaces); on single-core hardware (see \\\"cores\\\") \
                 the multi-thread rows measure scheduling overhead, not scaling. \
                 uniform_cold holds more distinct keys than the sharded cache's capacity, \
-                so its steady state keeps building propagators. Steady-state allocations \
-                count alloc+realloc events over 1000 warm-path queries.";
+                so its steady state keeps building propagators. Answer equality with the \
+                naive loop and zero warm-path allocations are checked by the test suite \
+                (bcn::query, zero_alloc).";
     let json = format!(
         "{{\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \"max_legs\": {MAX_LEGS},\n  \
          \"workloads\": {{\n    {},\n    {}\n  }},\n  \
          \"hot_serial_speedup_vs_naive\": {hot_speedup:.2},\n  \
-         \"steady_state_allocations\": {steady_allocs},\n  \
          \"propagator_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \
          \"note\": \"{note}\"\n}}\n",
         hot.json(),
@@ -341,23 +238,11 @@ fn main() {
     }
     println!("wrote {}", path.display());
 
-    let mut failed = false;
-    if total_mismatches > 0 {
-        eprintln!("FAIL: {total_mismatches} batched answer(s) differ from the naive loop");
-        failed = true;
-    }
-    if steady_allocs > 0 {
-        eprintln!("FAIL: warm verdict path allocated {steady_allocs} time(s)");
-        failed = true;
-    }
     if !quick() && hot_speedup < MIN_HOT_SPEEDUP {
         eprintln!(
             "FAIL: serial batched speedup {hot_speedup:.2}x below the {MIN_HOT_SPEEDUP}x gate \
              on the zipf-hot workload"
         );
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
 }

@@ -1,23 +1,21 @@
-//! Scale-out fabric benchmark and equivalence gate for the multi-hop
-//! engine.
+//! Scale-out fabric benchmark for the multi-hop engine.
 //!
-//! Runs generator-compiled fabrics (`dcesim::topo`) through [`NetSim`]
-//! at data-center fan-ins and enforces the PR's four guarantees:
+//! Times generator-compiled fabrics (`dcesim::topo`) through [`NetSim`]
+//! at data-center fan-ins and gates two ratios:
 //!
-//! 1. **Bit-identity** — [`NetReport`] matches byte for byte across
-//!    schedulers on a mid-size incast (faults off *and* on), and a
-//!    fabric batch matches across schedulers *and* worker counts
-//!    (1 vs 4).
-//! 2. **Route-lookup speedup** — the flat next-hop table must answer
+//! 1. **Route-lookup speedup** — the flat next-hop table must answer
 //!    lookups at least 5x faster than the per-frame linear scan it
 //!    replaced, measured on a 1024-host fabric.
-//! 3. **Zero steady-state allocations** — a warmed-up run performs no
-//!    heap allocations on the frame-forwarding path (counted by this
-//!    binary's wrapping allocator).
-//! 4. **End-to-end throughput** — the timing wheel must beat the binary
+//! 2. **End-to-end throughput** — the timing wheel must beat the binary
 //!    heap by at least 1.2x in events/sec on the 512-sender and
 //!    2048-sender incasts (the deep-backlog workload the ROADMAP named
-//!    as the ratio flip).
+//!    as the ratio flip). This is the only binary that times them.
+//!
+//! Scheduler and worker-count bit-identity on fabrics and the warm
+//! forwarding path's zero-allocation guarantee are not timing
+//! questions; they are checked by
+//! `crates/dcesim/tests/scheduler_equivalence.rs` and
+//! `tests/zero_alloc.rs` under `cargo test`.
 //!
 //! Results land in `BENCH_topo.json` under the usual results directory.
 //! Run release builds only:
@@ -27,19 +25,13 @@
 //! ```
 //!
 //! `DCE_BCN_QUICK` shrinks the fabrics (fat-tree k=4 scale) and skips
-//! the two speedup gates (CI smoke mode — every equivalence and
-//! allocation check still runs in full).
+//! the two speedup gates (CI smoke mode).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use bench::common::out_dir;
-use dcesim::batch::{run_batch, NetBatchConfig};
-use dcesim::faults::FaultConfig;
-use dcesim::net::{NetConfig, NetReport, NetSim};
+use bench::common::{best_of, out_dir, quick};
+use dcesim::faults::splitmix64;
+use dcesim::net::{NetConfig, NetSim};
 use dcesim::sched::Scheduler;
 use dcesim::topo::{compile, TopoSpec, Traffic};
 
@@ -50,44 +42,6 @@ const MIN_END_TO_END_SPEEDUP: f64 = 1.2;
 /// hosts.
 const MIN_LOOKUP_SPEEDUP: f64 = 5.0;
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator. Used to prove the warm forwarding path allocates nothing;
-/// never enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-// --- scenarios ------------------------------------------------------------
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
-
 /// An incast compiled onto a fabric at 4x overload of the destination
 /// access link.
 fn incast_on(spec: &TopoSpec, senders: usize, t_end: f64) -> NetConfig {
@@ -95,107 +49,18 @@ fn incast_on(spec: &TopoSpec, senders: usize, t_end: f64) -> NetConfig {
     compile(spec, &traffic, t_end).expect("bench fabric compiles")
 }
 
-/// A deterministic mixed fault plan for the faulted equivalence runs.
-fn fault_plan() -> FaultConfig {
-    let mut f = FaultConfig::none();
-    f.seed = 7;
-    f.feedback_loss = 0.05;
-    f.data_loss = 0.005;
-    f
-}
-
-fn run_with(cfg: &NetConfig, scheduler: Scheduler) -> NetReport {
-    let mut c = cfg.clone();
-    c.scheduler = scheduler;
-    NetSim::new(c).run()
-}
-
-/// Events dispatched by one run plus best-of-`reps` wall time.
+/// Events dispatched by one run plus best-of-`reps` wall time of the
+/// stepping loop (construction and `finish` stay off the clock).
 fn time_run(cfg: &NetConfig, scheduler: Scheduler, reps: usize) -> (u64, f64) {
-    let mut events = 0;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut c = cfg.clone();
-        c.scheduler = scheduler;
-        let mut sim = NetSim::new(c);
-        let t0 = Instant::now();
+    let setup = || NetSim::new(NetConfig { scheduler, ..cfg.clone() });
+    let (secs, sim) = best_of(reps, setup, |mut sim| {
         while sim.step() {}
-        best = best.min(t0.elapsed().as_secs_f64());
-        events = sim.events_popped();
-        black_box(sim.finish());
-    }
-    (events, best)
-}
-
-// --- equivalence gates ----------------------------------------------------
-
-/// Scheduler bit-identity on a generator-compiled incast, with and
-/// without wire faults.
-fn check_scheduler_equivalence(failures: &mut Vec<String>, spec: &TopoSpec, senders: usize) {
-    for faults in [FaultConfig::none(), fault_plan()] {
-        let faulty = faults.enabled();
-        let mut cfg = incast_on(spec, senders, 0.01);
-        cfg.faults = faults;
-        if run_with(&cfg, Scheduler::Wheel) != run_with(&cfg, Scheduler::Heap) {
-            failures.push(format!(
-                "incast-{senders} (faults: {faulty}): wheel and heap reports differ"
-            ));
-        }
-    }
-}
-
-/// Scheduler and worker-count bit-identity on fabric batches.
-fn check_batch_equivalence(failures: &mut Vec<String>, spec: &TopoSpec, senders: usize) {
-    let run = |scheduler: Scheduler, threads: usize| {
-        parkit::set_threads(threads);
-        let mut base = incast_on(spec, senders, 0.005);
-        base.scheduler = scheduler;
-        base.faults = fault_plan();
-        let cfg = NetBatchConfig::quick(base, 4);
-        let report = run_batch(&cfg);
-        let out: Vec<(u64, NetReport)> =
-            report.completed().map(|(seed, r)| (seed, r.clone())).collect();
-        parkit::set_threads(0);
-        out
-    };
-    let baseline = run(Scheduler::Wheel, 1);
-    for (scheduler, threads) in [(Scheduler::Wheel, 4), (Scheduler::Heap, 1), (Scheduler::Heap, 4)]
-    {
-        if run(scheduler, threads) != baseline {
-            failures.push(format!(
-                "fabric batch ({}, {threads} workers) diverged from (wheel, 1 worker)",
-                scheduler.name()
-            ));
-        }
-    }
-}
-
-/// Steady-state allocation count of a warm run: step past warm-up (the
-/// event-queue slab, PAUSE maps, and reserved time series have all
-/// reached capacity), then count allocations over the remaining frames.
-fn steady_state_allocations(cfg: &NetConfig, warmup_steps: u64) -> u64 {
-    let mut sim = NetSim::new(cfg.clone());
-    for _ in 0..warmup_steps {
-        if !sim.step() {
-            break;
-        }
-    }
-    let before = allocations();
-    while sim.step() {}
-    let after = allocations();
-    black_box(sim.finish());
-    after - before
+        sim
+    });
+    (sim.events_popped(), secs)
 }
 
 // --- route-lookup microbench ----------------------------------------------
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Route-lookup throughput: the flat `u32` next-hop table (what the
 /// engine builds at `NetSim::try_new`) against the per-frame
@@ -216,62 +81,48 @@ fn route_lookup_speedup(reps: usize, lookups: usize) -> (f64, usize) {
         }
     }
     let mut rng = 0x5eed;
-    let queries: Vec<(usize, usize)> = (0..lookups)
-        .map(|_| {
-            (splitmix64(&mut rng) as usize % routes.len(), splitmix64(&mut rng) as usize % hosts)
-        })
-        .collect();
-    let mut best_linear = f64::INFINITY;
-    let mut best_flat = f64::INFINITY;
-    let mut sums = (0u64, 0u64);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut sum = 0u64;
-        for &(si, dst) in &queries {
-            let link = routes[si].iter().find(|&&(d, _)| d == dst).map_or(usize::MAX, |r| r.1);
-            sum = sum.wrapping_add(link as u64);
-        }
-        best_linear = best_linear.min(t0.elapsed().as_secs_f64());
-        sums.0 = black_box(sum);
-
-        let t0 = Instant::now();
-        let mut sum = 0u64;
-        for &(si, dst) in &queries {
-            sum = sum.wrapping_add(u64::from(table[si * hosts + dst]));
-        }
-        best_flat = best_flat.min(t0.elapsed().as_secs_f64());
-        sums.1 = black_box(sum);
-    }
+    let mut draw = || {
+        let r = splitmix64(rng);
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        r as usize
+    };
+    let queries: Vec<(usize, usize)> =
+        (0..lookups).map(|_| (draw() % routes.len(), draw() % hosts)).collect();
+    let (linear, linear_sum) = best_of(
+        reps,
+        || (),
+        |()| {
+            queries.iter().fold(0u64, |sum, &(si, dst)| {
+                let link = routes[si].iter().find(|&&(d, _)| d == dst).map_or(usize::MAX, |r| r.1);
+                sum.wrapping_add(link as u64)
+            })
+        },
+    );
+    let (flat, flat_sum) = best_of(
+        reps,
+        || (),
+        |()| {
+            queries
+                .iter()
+                .fold(0u64, |sum, &(si, dst)| sum.wrapping_add(u64::from(table[si * hosts + dst])))
+        },
+    );
     // u32::MAX sentinel vs usize::MAX truncation differ only on missing
     // routes, which this fabric has none of.
-    assert_eq!(sums.0 & 0xFFFF_FFFF, sums.1 & 0xFFFF_FFFF, "lookup answers diverged");
-    (best_linear / best_flat, lookups)
+    assert_eq!(linear_sum & 0xFFFF_FFFF, flat_sum & 0xFFFF_FFFF, "lookup answers diverged");
+    (linear / flat, lookups)
 }
 
 // --- main -----------------------------------------------------------------
 
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
+#[allow(clippy::cast_precision_loss)]
 fn main() {
     let q = quick();
     // Quick mode shrinks every fabric to fat-tree-k=4 scale and skips
-    // the two speedup gates; equivalence and allocation gates still run.
+    // the two speedup gates.
     let (reps, lookups) = if q { (1, 200_000) } else { (3, 2_000_000) };
     let mut failures: Vec<String> = Vec::new();
-
-    // Equivalence fabric: small enough to run four batch configurations.
-    let eq_spec = if q {
-        TopoSpec::fat_tree(4)
-    } else {
-        TopoSpec::leaf_spine(16, 4, 8) /* 128 hosts */
-    };
-    let eq_senders = if q { 12 } else { 96 };
-    println!("topo engine benchmark: equivalence on {} hosts, best of {reps}", eq_spec.hosts());
-    check_scheduler_equivalence(&mut failures, &eq_spec, eq_senders);
-    check_batch_equivalence(&mut failures, &eq_spec, eq_senders);
-    println!(
-        "equivalence: {}",
-        if failures.is_empty() { "all reports bit-identical" } else { "FAILURES (see below)" }
-    );
+    println!("topo engine benchmark: best of {reps}");
 
     // Route-lookup microbench (gated at 1024 hosts unless quick).
     let (lookup_speedup, n_lookups) = route_lookup_speedup(reps, lookups);
@@ -303,6 +154,7 @@ fn main() {
     for (name, cfg) in &scenarios {
         let (events, wheel_s) = time_run(cfg, Scheduler::Wheel, reps);
         let (heap_events, heap_s) = time_run(cfg, Scheduler::Heap, reps);
+        // Both rates divide the same event count.
         assert_eq!(events, heap_events, "schedulers must dispatch identical event counts");
         let (wheel_eps, heap_eps) = (events as f64 / wheel_s, events as f64 / heap_s);
         let speedup = wheel_eps / heap_eps;
@@ -328,30 +180,20 @@ fn main() {
         scenario_json.push(row);
     }
 
-    // Zero steady-state allocations on the largest scenario.
-    let (alloc_name, alloc_cfg) = scenarios.last().expect("at least one scenario");
-    let steady_allocs = steady_state_allocations(alloc_cfg, 20_000);
-    println!("steady-state allocations ({alloc_name}): {steady_allocs}");
-    if steady_allocs != 0 {
-        failures.push(format!("warm forwarding path performed {steady_allocs} allocation(s)"));
-    }
-
     let note = "End-to-end speedup is gated on generator-compiled incasts whose fan-in \
                 keeps thousands of events pending — the deep-backlog regime where the heap \
-                pays its O(log n) (BENCH_packet.json gates the same engines on shallow \
+                pays its O(log n) (BENCH_packet.json times the same engines on shallow \
                 dumbbell scenarios, where the ratio is informational only). The route-lookup \
                 row replays one deterministic query stream through the flat next-hop table \
-                and the linear scan it replaced. Steady-state allocations are counted by \
-                this binary's wrapping allocator after 20k warm-up events.";
+                and the linear scan it replaced. Fabric bit-identity across schedulers and \
+                workers and zero steady-state allocations are checked by the test suite \
+                (scheduler_equivalence, zero_alloc).";
     let json = format!(
         "{{\n  \"quick\": {q},\n  \"reps\": {reps},\n  \"scenarios\": [{}],\n  \
          \"route_lookup\": {{\"hosts\": 1024, \"lookups\": {n_lookups}, \
          \"speedup\": {lookup_speedup:.3}, \"gate\": {MIN_LOOKUP_SPEEDUP}}},\n  \
-         \"end_to_end_gate\": {MIN_END_TO_END_SPEEDUP},\n  \
-         \"steady_state_allocations\": {steady_allocs},\n  \
-         \"equivalence_failures\": {},\n  \"note\": \"{note}\"\n}}\n",
+         \"end_to_end_gate\": {MIN_END_TO_END_SPEEDUP},\n  \"note\": \"{note}\"\n}}\n",
         scenario_json.join(", "),
-        failures.len(),
     );
     let out = out_dir();
     let path = out.join("BENCH_topo.json");

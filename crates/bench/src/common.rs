@@ -1,8 +1,10 @@
 //! Shared helpers for the experiment binaries.
 
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use bcn::simulate::{fluid_trajectory, FluidOptions};
 use bcn::{BcnFluid, BcnParams};
@@ -15,6 +17,46 @@ pub fn out_dir() -> PathBuf {
     std::env::var_os("DCE_BCN_RESULTS")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// CI smoke mode: `DCE_BCN_QUICK` is set. Benches shrink their
+/// workloads and skip their speedup gates; experiments shrink their
+/// grids.
+#[must_use]
+pub fn quick() -> bool {
+    std::env::var_os("DCE_BCN_QUICK").is_some()
+}
+
+/// A positive integer from the environment variable `key`, or
+/// `default` when it is unset, unparsable, or zero.
+#[must_use]
+pub fn env_usize(key: &str, default: usize) -> usize {
+    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+}
+
+/// Best-of-`reps` wall time (s) of `run`, fed a fresh `setup()` value
+/// each repetition, plus the last repetition's output. Only `run` is on
+/// the clock: building its input and dropping its output are not.
+///
+/// # Panics
+///
+/// Panics if `reps` is zero.
+pub fn best_of<S, T>(
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(S) -> T,
+) -> (f64, T) {
+    assert!(reps > 0, "best_of needs at least one repetition");
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let input = setup();
+        let t0 = Instant::now();
+        let out = black_box(run(input));
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(out);
+    }
+    (best, last.expect("at least one repetition ran"))
 }
 
 /// A traced trajectory decomposed into plottable series.
@@ -232,6 +274,21 @@ mod tests {
         if std::env::var_os("DCE_BCN_RESULTS").is_none() {
             assert_eq!(out_dir(), PathBuf::from("results"));
         }
+    }
+
+    #[test]
+    fn best_of_feeds_each_repetition_a_fresh_setup() {
+        let mut setups = 0;
+        let (secs, last) = best_of(
+            3,
+            || {
+                setups += 1;
+                setups
+            },
+            |n| n * 10,
+        );
+        assert_eq!((setups, last), (3, 30));
+        assert!(secs.is_finite() && secs >= 0.0);
     }
 
     #[test]

@@ -112,14 +112,18 @@ impl HybridGuards {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first invalid field: a
-    /// non-finite or negative duration, a fraction outside `(0, 0.5)`,
-    /// or a zero leg budget.
+    /// non-finite or negative duration, a nonzero `max_ff_secs` below
+    /// `min_ff_secs` (no epoch could ever commit), a fraction outside
+    /// `(0, 0.5)`, or a zero leg budget.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, v) in [("hybrid.min_ff", self.min_ff_secs), ("hybrid.max_ff", self.max_ff_secs)]
         {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(ConfigError::new(field, "duration must be finite and non-negative"));
             }
+        }
+        if self.max_ff_secs > 0.0 && self.max_ff_secs < self.min_ff_secs {
+            return Err(ConfigError::new("hybrid.max_ff", "must be 0 (no cap) or at least min_ff"));
         }
         for (field, v) in [("hybrid.eq", self.eq_frac), ("hybrid.margin", self.q_margin_frac)] {
             if !(v.is_finite() && v > 0.0 && v < 0.5) {
@@ -530,15 +534,10 @@ mod tests {
         // Hand-rolled property test: splitmix64-driven random parameter
         // sets around the fluid-calibrated baseline, each checked for
         // hybrid-vs-pure queue-extrema agreement within the bound.
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
         fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
-            let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+            let r = crate::faults::splitmix64(*state);
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let u = (r >> 11) as f64 / (1u64 << 53) as f64;
             lo + u * (hi - lo)
         }
         let mut state = 0x5eed_5eed_5eed_5eed_u64;
@@ -574,6 +573,11 @@ mod tests {
         assert_eq!(bad.validate().unwrap_err().field, "hybrid.min_ff");
         let bad = HybridGuards { max_legs: 0, ..HybridGuards::default() };
         assert_eq!(bad.validate().unwrap_err().field, "hybrid.max-legs");
+        // A span cap below the minimum span leaves no committable epoch.
+        let bad = HybridGuards { min_ff_secs: 0.01, max_ff_secs: 0.005, ..HybridGuards::default() };
+        assert_eq!(bad.validate().unwrap_err().field, "hybrid.max_ff");
+        let cap = HybridGuards { min_ff_secs: 0.01, max_ff_secs: 0.01, ..HybridGuards::default() };
+        assert!(cap.validate().is_ok(), "a cap equal to the minimum is accepted");
     }
 
     #[test]

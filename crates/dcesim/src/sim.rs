@@ -351,7 +351,7 @@ impl Simulation {
         let mut fault_scratch = std::mem::take(&mut ws.fault_scratch);
         fault_scratch.clear();
         // Size every buffer that grows with the run up front, so the
-        // steady state allocates nothing (the packet_engine bench gates
+        // steady state allocates nothing (`tests/zero_alloc.rs` gates
         // on this): the FIFO can hold at most a buffer of frames, the
         // series one sample per record tick, and the delay samples one
         // per deliverable frame (capped — pathological horizons fall
@@ -479,9 +479,9 @@ impl Simulation {
     }
 
     /// Dispatches the next event; returns `false` once the horizon is
-    /// reached or no events remain. Exposed so the packet_engine bench
-    /// can meter the steady state (e.g. count allocations after warm-up)
-    /// without giving up [`Simulation::finish`]'s report.
+    /// reached or no events remain. Exposed so callers can meter the
+    /// steady state (e.g. count allocations after warm-up) without
+    /// giving up [`Simulation::finish`]'s report.
     pub fn step(&mut self) -> bool {
         let Some((time, ev)) = self.events.pop() else { return false };
         if time > self.cfg.t_end {

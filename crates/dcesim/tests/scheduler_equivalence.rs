@@ -3,19 +3,64 @@
 //! The timing wheel must be an invisible substitution for the binary
 //! heap: same event order, same metrics, same telemetry (modulo the
 //! `scheduler.*` self-counters, which describe backend internals), same
-//! final rates — at any worker count. These tests drive both backends
-//! through a splitmix64-seeded family of configurations and demand
+//! final rates — at any worker count, on the dumbbell and on
+//! multi-switch fabrics. The hybrid engine with its `always_packet`
+//! guard must likewise be invisible against the pure packet engine.
+//! These tests drive the backends through a splitmix64-seeded family
+//! of configurations and fixed faulted scenarios and demand
 //! bit-identical results. A proptest-powered generalisation lives in
 //! `tests/properties.rs` behind the `proptest-tests` feature.
 
-use dcesim::batch::{run_batch, BatchConfig};
+use std::sync::{Mutex, PoisonError};
+
+use dcesim::batch::{run_batch, BatchConfig, NetBatchConfig};
 use dcesim::faults::{splitmix64, FaultConfig};
+use dcesim::hybrid::{HybridGuards, HybridSim, HybridSpec};
 use dcesim::metrics::SimMetrics;
+use dcesim::net::{victim_topology, NetConfig, NetSim, PauseConfig};
 use dcesim::sched::Scheduler;
 use dcesim::sim::{fluid_validation_params, SimConfig, Simulation};
 use dcesim::time::Duration;
+use dcesim::topo::{compile, TopoSpec, Traffic};
 use dcesim::workload;
 use telemetry::{Telemetry, TelemetryLevel};
+
+/// `parkit::set_threads` is process-global: every test that varies the
+/// worker count holds this lock, so two of them cannot interleave their
+/// widths and end up comparing 1 worker against 1 worker.
+static WIDTH: Mutex<()> = Mutex::new(());
+
+/// Runs `f` at a pinned worker count, then restores the default.
+fn at_width<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    parkit::set_threads(threads);
+    let out = f();
+    parkit::set_threads(0);
+    out
+}
+
+/// A deterministic mixed wire-fault plan.
+fn fault_plan() -> FaultConfig {
+    let mut f = FaultConfig::none();
+    f.seed = 7;
+    f.feedback_loss = 0.05;
+    f.feedback_corrupt = 0.02;
+    f.data_loss = 0.005;
+    f
+}
+
+/// A 12-sender incast at 4x overload compiled onto a k=4 fat-tree.
+fn fabric_incast(t_end: f64) -> NetConfig {
+    let traffic = Traffic::Incast { senders: 12, dst: usize::MAX, load: 4.0 };
+    compile(&TopoSpec::fat_tree(4), &traffic, t_end).expect("fabric compiles")
+}
+
+/// The seeds a batch completed, with their metrics and final rates.
+fn completed_runs(cfg: &BatchConfig) -> Vec<(u64, SimMetrics, Vec<f64>)> {
+    run_batch(cfg)
+        .completed()
+        .map(|(seed, r)| (seed, r.metrics.clone(), r.final_rates.clone()))
+        .collect()
+}
 
 /// A unit-interval sample from the splitmix64 stream.
 fn unit(z: u64) -> f64 {
@@ -113,22 +158,75 @@ fn schedulers_agree_on_random_configs() {
 
 /// Batched multi-seed runs agree across schedulers *and* worker counts:
 /// (wheel, 4 workers), (heap, 1), and (heap, 4) must all reproduce the
-/// (wheel, 1 worker) report seed for seed.
+/// (wheel, 1 worker) report seed for seed, on a clean and a faulted
+/// configuration.
 #[test]
 fn schedulers_agree_across_worker_counts() {
+    let _width = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
+    // Even seeds draw a clean configuration, odd seeds a faulted one.
+    for config_seed in [2, 3] {
+        let run = |scheduler: Scheduler, threads: usize| {
+            let base = SimConfig { scheduler, ..random_config(config_seed) };
+            let cfg = BatchConfig { level: TelemetryLevel::Off, ..BatchConfig::quick(base, 5) };
+            let out = at_width(threads, || completed_runs(&cfg));
+            assert_eq!(out.len(), 5, "every seed must complete");
+            out
+        };
+        let baseline = run(Scheduler::Wheel, 1);
+        for (scheduler, threads) in
+            [(Scheduler::Wheel, 4), (Scheduler::Heap, 1), (Scheduler::Heap, 4)]
+        {
+            assert_eq!(
+                run(scheduler, threads),
+                baseline,
+                "config {config_seed}: batch ({}, {threads} workers) diverged from \
+                 (wheel, 1 worker)",
+                scheduler.name()
+            );
+        }
+    }
+}
+
+/// The multi-switch engine is scheduler-invariant on the hand-built
+/// victim topology and on a generator-compiled fabric incast, clean and
+/// faulted.
+#[test]
+fn net_schedulers_agree_on_victim_and_fabric_topologies() {
+    let trunk = 1e9;
+    let pause = PauseConfig {
+        enabled: true,
+        hold: Duration::from_secs(40.0 * 8_000.0 / trunk),
+        per_priority: false,
+    };
+    let (victim, _) =
+        victim_topology(4, trunk, 8_000.0, Duration::from_secs(1e-6), 0.05, pause, None);
+    for (name, base) in [("victim", victim), ("fat-tree incast-12", fabric_incast(0.01))] {
+        for faults in [FaultConfig::none(), fault_plan()] {
+            let faulty = faults.enabled();
+            let run = |scheduler| {
+                NetSim::new(NetConfig { scheduler, faults: faults.clone(), ..base.clone() }).run()
+            };
+            assert_eq!(
+                run(Scheduler::Wheel),
+                run(Scheduler::Heap),
+                "{name} (faults: {faulty}): wheel and heap reports differ"
+            );
+        }
+    }
+}
+
+/// A faulted fabric batch is identical across (wheel, heap) x (1, 4)
+/// workers.
+#[test]
+fn fabric_batches_agree_across_schedulers_and_worker_counts() {
+    let _width = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
     let run = |scheduler: Scheduler, threads: usize| {
-        parkit::set_threads(threads);
-        let mut base = random_config(2);
-        base.scheduler = scheduler;
-        let mut cfg = BatchConfig::quick(base, 5);
-        cfg.level = TelemetryLevel::Off;
-        let report = run_batch(&cfg);
-        let out: Vec<(u64, SimMetrics, Vec<f64>)> = report
-            .completed()
-            .map(|(seed, r)| (seed, r.metrics.clone(), r.final_rates.clone()))
-            .collect();
-        parkit::set_threads(0);
-        assert_eq!(out.len(), 5, "every seed must complete");
+        let base = NetConfig { scheduler, faults: fault_plan(), ..fabric_incast(0.005) };
+        let cfg = NetBatchConfig::quick(base, 4);
+        let out: Vec<_> = at_width(threads, || {
+            run_batch(&cfg).completed().map(|(seed, r)| (seed, r.clone())).collect()
+        });
+        assert_eq!(out.len(), 4, "every seed must complete");
         out
     };
     let baseline = run(Scheduler::Wheel, 1);
@@ -137,8 +235,41 @@ fn schedulers_agree_across_worker_counts() {
         assert_eq!(
             run(scheduler, threads),
             baseline,
-            "batch ({}, {threads} workers) diverged from (wheel, 1 worker)",
+            "fabric batch ({}, {threads} workers) diverged from (wheel, 1 worker)",
             scheduler.name()
+        );
+    }
+}
+
+/// With the `always_packet` guard the hybrid wrapper is the pure packet
+/// engine: on a 16-server incast, and as a batch at 1 and 4 workers
+/// against the pure batch.
+#[test]
+fn always_packet_hybrid_matches_pure_packet() {
+    let always_packet = HybridGuards { always_packet: true, ..HybridGuards::default() };
+    let mut params = fluid_validation_params();
+    let mut incast = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 0.3);
+    incast.flows = workload::incast(16, params.capacity / 4.0, 300.0 * 8_000.0);
+    params.n_flows = 16;
+    let pure = Simulation::new(incast.clone()).run();
+    let hybrid = HybridSim::new(params, incast, always_packet).run();
+    assert_eq!(hybrid.stats.epochs, 0, "always-packet committed an epoch");
+    assert_eq!(hybrid.sim.metrics, pure.metrics, "incast-16: hybrid wrapper diverged");
+    assert_eq!(hybrid.sim.final_rates, pure.final_rates, "incast-16: final rates diverged");
+
+    let _width = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
+    let params = fluid_validation_params();
+    let base = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 0.02);
+    let pure = BatchConfig { level: TelemetryLevel::Off, ..BatchConfig::quick(base, 6) };
+    let baseline = at_width(1, || completed_runs(&pure));
+    assert_eq!(baseline.len(), 6, "every seed must complete");
+    let wrapped =
+        BatchConfig { hybrid: Some(HybridSpec { params, guards: always_packet }), ..pure };
+    for threads in [1, 4] {
+        assert_eq!(
+            at_width(threads, || completed_runs(&wrapped)),
+            baseline,
+            "always-packet batch ({threads} workers) diverged from the pure batch"
         );
     }
 }

@@ -14,13 +14,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --workspace --release
 
+# The suites include the scheduler/worker bit-identity checks
+# (scheduler_equivalence) and the zero-allocation gates (zero_alloc);
+# the bench smokes below only time.
 echo "== cargo test (serial: DCE_BCN_THREADS=1) =="
 DCE_BCN_THREADS=1 cargo test --workspace -q
 
 echo "== cargo test (parallel: DCE_BCN_THREADS=4) =="
 DCE_BCN_THREADS=4 cargo test --workspace -q
 
-echo "== sweep scaling smoke (equivalence check) =="
+echo "== sweep scaling smoke (atlas timing rows) =="
 # Reduced grid; write to a scratch directory so the committed
 # full-grid BENCH_sweeps.json is not overwritten by smoke numbers.
 DCE_BCN_SWEEP_GRID=8 DCE_BCN_SWEEP_REPS=1 DCE_BCN_RESULTS=$(mktemp -d) \
@@ -48,30 +51,25 @@ echo "$fd_out" | grep -q "checkpoint: restored 4 of 4 grid points"
 cmp "$fd_results/exp_feedback_degradation.csv" "$fd_resume/exp_feedback_degradation.csv"
 cmp "$fd_results/feedback_degradation.json" "$fd_resume/feedback_degradation.json"
 
-echo "== packet engine smoke (wheel/heap equivalence + zero allocs) =="
-# Quick mode: short horizons, replay-speedup gate skipped; every
-# bit-identity check (schedulers x worker counts x fault plans) and the
-# steady-state allocation gate still run in full.
+echo "== packet engine smoke (wheel/heap timing + replay rows) =="
+# Quick mode: short horizons, replay-speedup gate skipped.
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin packet_engine
 
-echo "== topo engine smoke (fabric equivalence + zero allocs) =="
+echo "== topo engine smoke (fabric timing + route-lookup rows) =="
 # Quick mode: fat-tree k=4 scale, the end-to-end and route-lookup
-# speedup gates skipped; every bit-identity check (schedulers x worker
-# counts x fault plans) and the steady-state allocation gate still run.
+# speedup gates skipped.
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin topo_engine
 
-echo "== hybrid engine smoke (bounded divergence + always-packet identity) =="
+echo "== hybrid engine smoke (divergence agreement rows + timing) =="
 # Quick mode: short horizons, the 3x end-to-end speedup gate skipped;
-# the divergence bound, always-packet bit-identity (single runs and
-# batches x worker counts) and zero-allocation gates still run.
+# the divergence bound still applies.
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin hybrid_engine
 
-echo "== query engine smoke (batched vs naive answer equality) =="
-# Quick mode: smoke-sized workloads, the 3x hot-speedup gate skipped;
-# the bitwise answer-equality and zero-allocation gates still run.
+echo "== query engine smoke (batched vs naive timing rows) =="
+# Quick mode: smoke-sized workloads, the 3x hot-speedup gate skipped.
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin query_engine
 

@@ -202,6 +202,18 @@ mod tests {
     }
 
     #[test]
+    fn contradictory_hybrid_guard_bounds_exit_as_a_sim_config_error() {
+        let args: Vec<String> =
+            "packet --engine hybrid --hybrid-guard min-ff=0.01,max-ff=0.005 --t-end 1.0"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let e = Error::from(cli::run(&args).unwrap_err());
+        assert_eq!(e.exit_code(), 7);
+        assert!(e.to_string().contains("hybrid.max_ff"), "{e}");
+    }
+
+    #[test]
     fn leaf_errors_convert_and_keep_their_message() {
         let wire = dcesim::wire::decode(&[0u8; 4]).unwrap_err();
         let e = Error::from(wire);
