@@ -4,8 +4,8 @@
 //! exactly where `y(t) = 0`. Each routine here comes in two flavours:
 //!
 //! * a **robust** version derived from the matrix-exponential flow (zero
-//!   of `y(t)` located analytically or by safeguarded bisection), used by
-//!   the stability criteria; and
+//!   of `y(t)` in closed form, then `x` from the flow at that time), used
+//!   by the stability criteria; and
 //! * a **paper** version transcribing the printed formula, kept for
 //!   fidelity and cross-checked against the robust version in tests.
 //!
@@ -33,6 +33,14 @@ pub struct Extremum {
 /// First extremum of `x(t)` for a spiral region (`alpha ± i beta`,
 /// `beta > 0`) from `z0`, robust version.
 ///
+/// The time is Eq. 18 in `atan2` form. With `y(t) = e^{alpha t} [y0
+/// cos(beta t) + c sin(beta t)]`, `t* = theta/beta` where `theta` is the
+/// bracket's zero in `(0, pi]`, built from `r = atan2(|y0|, |c|)` so that a
+/// root near `0` or `pi` keeps full relative precision. The shorter
+/// `atan2(c, y0) + pi/2` reduction is not used: for `|y0|` below about
+/// `1e-14 |c|` its sum cancels to `0`, and the extremum half a rotation
+/// later would be returned.
+///
 /// Returns `None` only for the equilibrium itself. If `y(0) = 0` the
 /// initial point is an extremum; the *next* one (half a rotation later) is
 /// returned, matching the paper's `t* > 0` convention for round analysis.
@@ -54,28 +62,11 @@ pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> 
         std::f64::consts::PI / beta
     } else {
         // h(theta) = y0 cos(theta) + c sin(theta) has exactly one zero in
-        // (0, pi]: h(0) = y0 and h(pi) = -y0 straddle it.
-        let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
-        let mut lo = 0.0_f64;
-        let mut hi = std::f64::consts::PI;
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break;
-            }
-            let hm = h(mid);
-            if hm == 0.0 {
-                lo = mid;
-                hi = mid;
-                break;
-            }
-            if hm.signum() == y0.signum() {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi) / beta
+        // (0, pi], where tan(theta) = -y0/c: below pi/2 when y0 and c have
+        // opposite signs, above it otherwise.
+        let r = y0.abs().atan2(c.abs());
+        let theta = if (y0 < 0.0) == (c < 0.0) { std::f64::consts::PI - r } else { r };
+        theta / beta
     };
     let x = flow.at(t_star, z0)[0];
     Some(Extremum { t: t_star, x })
@@ -209,6 +200,116 @@ mod tests {
 
     const ALPHA: f64 = -1.0;
     const BETA: f64 = 3.0;
+
+    /// The previous root finder, kept as the oracle for the closed form:
+    /// bisect `y0 cos(theta) + c sin(theta)` on `[0, pi]` down to one ulp.
+    fn bisection_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
+        let flow = flow_for_focus(alpha, beta);
+        let [x0, y0] = z0;
+        if x0 == 0.0 && y0 == 0.0 {
+            return None;
+        }
+        let ydot0 = flow.jacobian().mul_vec(z0)[1];
+        let c = (ydot0 - alpha * y0) / beta;
+        let t_star = if y0 == 0.0 {
+            if c == 0.0 {
+                return None;
+            }
+            std::f64::consts::PI / beta
+        } else {
+            let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
+            let mut lo = 0.0_f64;
+            let mut hi = std::f64::consts::PI;
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                let hm = h(mid);
+                if hm == 0.0 {
+                    lo = mid;
+                    hi = mid;
+                    break;
+                }
+                if hm.signum() == y0.signum() {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi) / beta
+        };
+        let x = flow.at(t_star, z0)[0];
+        Some(Extremum { t: t_star, x })
+    }
+
+    /// `c` of `y(t) = e^{alpha t} [y0 cos(beta t) + c sin(beta t)]`.
+    fn sine_coefficient(alpha: f64, beta: f64, [x0, y0]: [f64; 2]) -> f64 {
+        (-(alpha * alpha + beta * beta) * x0 + alpha * y0) / beta
+    }
+
+    #[test]
+    fn closed_form_root_matches_bisection_oracle() {
+        let mut state = 0x5eed_u64;
+        let mut uniform = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut log_uniform = |lo: f64, hi: f64| (lo.ln() + uniform() * (hi / lo).ln()).exp();
+        let mut starts = Vec::new();
+        for i in 0..12_000 {
+            let alpha = -log_uniform(1e-3, 1e3);
+            let beta = log_uniform(1e-3, 1e3);
+            let n = alpha * alpha + beta * beta;
+            let sign = |bit: u32| if i >> bit & 1 == 0 { 1.0 } else { -1.0 };
+            let x0 = sign(3) * log_uniform(1e-12, 1e12);
+            let y0 = sign(4) * log_uniform(1e-12, 1e12);
+            let z0 = match i % 4 {
+                // Generic state, components spanning 24 decades.
+                0 => [x0, y0],
+                // |y0| ~ 1e-14 |c|, with y0 of either sign against c.
+                1 => {
+                    let c = sine_coefficient(alpha, beta, [x0, 0.0]);
+                    [x0, sign(5) * 1e-14 * log_uniform(0.5, 2.0) * c]
+                }
+                // Start on the velocity axis.
+                2 => [0.0, y0],
+                // c = 0 up to rounding: the root sits at pi/2.
+                _ => [alpha * y0 / n, y0],
+            };
+            starts.push((alpha, beta, z0));
+        }
+        // c = 0 exactly (alpha = -1, beta = 1, x0 = alpha y0 / n).
+        starts.push((-1.0, 1.0, [-1.0, 2.0]));
+        starts.push((-1.0, 1.0, [1.0, -2.0]));
+        for (alpha, beta, z0) in starts {
+            let got = spiral_extremum(alpha, beta, z0).expect("off the origin");
+            let want = bisection_extremum(alpha, beta, z0).expect("off the origin");
+            let half = std::f64::consts::PI / beta;
+            let ulp = f64::from_bits(half.to_bits() + 1) - half;
+            let ctx = format!("alpha {alpha:e} beta {beta:e} z0 {z0:?}: {got:?} vs {want:?}");
+            assert!(got.t > 0.0 && got.t <= half, "t outside (0, pi/beta]: {ctx}");
+            assert!((got.t - want.t).abs() <= 4.0 * ulp, "t off: {ctx}");
+            assert!((got.x - want.x).abs() <= 1e-14 * got.x.abs().max(z0[0].abs()), "x off: {ctx}");
+        }
+    }
+
+    #[test]
+    fn tiny_velocity_keeps_the_early_root() {
+        // y0 = 1e-20 against c = -1: the root is theta = 1e-20. The
+        // reduction atan2(c, y0) + pi/2 cancels to 0 here and would hand
+        // back the extremum at pi/beta instead.
+        let z0 = [0.3, 1e-20];
+        let c = sine_coefficient(ALPHA, BETA, z0);
+        assert!(c < 0.0);
+        let e = spiral_extremum(ALPHA, BETA, z0).unwrap();
+        let expect = 1e-20 / (c.abs() * BETA);
+        assert!((e.t - expect).abs() <= 1e-12 * expect, "{e:?}, expected t = {expect:e}");
+        assert!((e.x - 0.3).abs() <= 1e-15, "{e:?}");
+    }
 
     #[test]
     fn spiral_extremum_has_zero_velocity() {

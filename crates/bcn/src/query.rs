@@ -45,6 +45,12 @@ use crate::stability::{exact_verdict_scratch, theorem1_required_buffer};
 /// finish in two legs).
 pub const DEFAULT_MAX_LEGS: usize = 64;
 
+/// Largest `max_legs` a query line may ask for (1024× the default). The
+/// exact trace keeps every [`Leg`] it traces, and a configuration that
+/// never settles spends its whole budget, so an unbounded budget read from
+/// input could exhaust memory.
+pub const MAX_LEGS_LIMIT: usize = 65_536;
+
 /// One stability question: a full parameter set plus the leg budget for
 /// the exact trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -424,7 +430,8 @@ impl<'a> FieldReader<'a> {
 /// # Errors
 ///
 /// Fails on malformed JSON, a wrong `type`, an unknown field, non-scalar
-/// values, or parameters that fail [`BcnParams::validate`].
+/// values, parameters that fail [`BcnParams::validate`], or a `max_legs`
+/// above [`MAX_LEGS_LIMIT`].
 pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
     const KNOWN: [&str; 12] =
         ["type", "n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc", "max_legs"];
@@ -456,8 +463,10 @@ pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
     }
     p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
     let max_legs = if has("max_legs") {
-        usize::try_from(r.uint("max_legs")?)
-            .map_err(|_| JsonlError("field `max_legs` out of range".into()))?
+        let legs = r.uint("max_legs")?;
+        usize::try_from(legs).ok().filter(|&l| l <= MAX_LEGS_LIMIT).ok_or_else(|| {
+            JsonlError(format!("field `max_legs` out of range: {legs} > {MAX_LEGS_LIMIT}"))
+        })?
     } else {
         DEFAULT_MAX_LEGS
     };
@@ -634,6 +643,17 @@ mod tests {
             r#"{"type":"query","capacity":-1.0}"#,
         ] {
             assert!(query_from_jsonl(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn max_legs_is_bounded_by_the_limit() {
+        let line = |legs: usize| format!(r#"{{"type":"query","w":1e-300,"max_legs":{legs}}}"#);
+        let q = query_from_jsonl(&line(MAX_LEGS_LIMIT)).expect("the limit itself is accepted");
+        assert_eq!(q.max_legs, MAX_LEGS_LIMIT);
+        for legs in [MAX_LEGS_LIMIT + 1, 100_000_000] {
+            let err = query_from_jsonl(&line(legs)).expect_err("above the limit");
+            assert!(err.0.contains("`max_legs` out of range"), "{err:?}");
         }
     }
 }

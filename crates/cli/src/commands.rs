@@ -2057,6 +2057,40 @@ mod tests {
     }
 
     #[test]
+    fn query_answers_past_an_oversized_leg_budget() {
+        let dir = std::env::temp_dir().join("dcebcn_query_cli_legs");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_path = dir.join("legs.jsonl");
+        let out_path = dir.join("answers.jsonl");
+        let mut text = telemetry::schema_header();
+        text.push('\n');
+        // A never-settling configuration with a budget far above the
+        // limit: it must become an error record, not an allocation.
+        text.push_str("{\"type\":\"query\",\"w\":1e-300,\"max_legs\":100000000}\n");
+        text.push_str("{\"type\":\"query\",\"gi\":2.0}\n");
+        std::fs::write(&in_path, &text).unwrap();
+
+        let summary =
+            query(&argv(&format!("--in {} --out {}", in_path.display(), out_path.display())))
+                .unwrap();
+        assert!(summary.contains("answered 1 queries"), "{summary}");
+        assert!(summary.contains("skipped 1 malformed line(s)"), "{summary}");
+        let written = std::fs::read_to_string(&out_path).unwrap();
+        let rest: Vec<&str> = written.lines().skip(1).collect();
+        assert_eq!(rest.len(), 2, "{written}");
+        assert!(rest[0].contains(r#""type":"error","line":2"#), "{}", rest[0]);
+        assert!(rest[0].contains("max_legs"), "{}", rest[0]);
+        assert!(rest[1].contains(r#""type":"answer""#), "{}", rest[1]);
+
+        let err = query(&argv(&format!("--in {} --out /dev/null --strict", in_path.display())))
+            .unwrap_err();
+        assert!(matches!(err, CliError::Analysis(_)), "{err}");
+        assert!(err.to_string().contains("legs.jsonl:2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn batch_checkpoint_resume_reproduces_the_artifact_byte_for_byte() {
         // Both engines share one checkpoint path.
         for (tag, scenario, title) in

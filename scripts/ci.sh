@@ -253,11 +253,13 @@ echo "== query streaming smoke (malformed lines become error records) =="
 printf '%s\n' '{"type":"schema","version":2}' \
   '{"type":"query","gi":2.0}' \
   'garbage' \
-  '{"type":"query","gd":0.03}' > "$q_dir/bad.jsonl"
+  '{"type":"query","gd":0.03}' \
+  '{"type":"query","w":1e-300,"max_legs":100000000}' > "$q_dir/bad.jsonl"
 ./target/release/dcebcn query --in "$q_dir/bad.jsonl" --out "$q_dir/bad_a.jsonl" \
-  | grep -q "skipped 1 malformed line"
+  | grep -q "skipped 2 malformed line"
 test "$(grep -c '"type":"answer"' "$q_dir/bad_a.jsonl")" = 2
 grep -q '"type":"error","line":3' "$q_dir/bad_a.jsonl"
+grep '"type":"error","line":5' "$q_dir/bad_a.jsonl" | grep -q max_legs
 code=0
 ./target/release/dcebcn query --in "$q_dir/bad.jsonl" --strict >/dev/null 2>&1 || code=$?
 if [ "$code" != "3" ]; then
