@@ -8,8 +8,9 @@ use std::time::Instant;
 
 use bcn::simulate::{fluid_trajectory, FluidOptions};
 use bcn::{BcnFluid, BcnParams};
+use dcesim::faults::splitmix64;
 use plotkit::{Series, SvgPlot};
-use telemetry::{field, fmt_num, parse_scalars, Scalar};
+use telemetry::{Line, Record};
 
 /// Where artifacts go: `$DCE_BCN_RESULTS` or `./results`.
 #[must_use]
@@ -124,13 +125,7 @@ pub fn banner(title: &str) {
 /// sweep refuses points recorded under a different grid.
 #[must_use]
 pub fn grid_digest(nums: &[f64]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for v in nums {
-        let mut z = (h ^ v.to_bits()).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h = z ^ (z >> 31);
-    }
+    let h = nums.iter().fold(0x9e37_79b9_7f4a_7c15, |h, v| splitmix64(h ^ v.to_bits()));
     h & ((1 << 53) - 1)
 }
 
@@ -149,7 +144,8 @@ pub fn grid_digest(nums: &[f64]) -> u64 {
 #[derive(Debug)]
 pub struct GridCheckpoint {
     file: std::fs::File,
-    restored: BTreeMap<String, Vec<(String, Scalar)>>,
+    /// Completed points: key → their `grid_point` line.
+    restored: BTreeMap<String, String>,
 }
 
 impl GridCheckpoint {
@@ -179,11 +175,7 @@ impl GridCheckpoint {
                         path.display()
                     )));
                 }
-                let found = lines
-                    .next()
-                    .and_then(|l| parse_scalars(l).ok())
-                    .and_then(|f| field(&f, "digest").ok().cloned())
-                    .and_then(|s| s.as_u64("digest").ok());
+                let found = Record::next(&mut lines, "campaign").and_then(|r| r.u64("digest")).ok();
                 if found != Some(digest) {
                     return Err(std::io::Error::other(format!(
                         "{}: grid digest mismatch (expected {digest}, found {found:?}); \
@@ -194,27 +186,27 @@ impl GridCheckpoint {
                 for line in lines {
                     // A torn tail line is the point the crash caught
                     // mid-write: skip it and it re-runs.
-                    let Ok(fields) = parse_scalars(line) else { continue };
-                    let Some(key) = field(&fields, "key").ok().and_then(|s| s.as_str("key").ok())
-                    else {
+                    let Some(key) = Record::parse(line).and_then(|r| r.str("key")).ok() else {
                         continue;
                     };
-                    restored.insert(key.to_string(), fields.clone());
+                    restored.insert(key.into_owned(), line.to_string());
                 }
             }
             None => {
-                writeln!(file, "{}", telemetry::schema_header())?;
-                writeln!(file, "{{\"type\":\"campaign\",\"digest\":{digest}}}")?;
+                let mut head = telemetry::schema_header();
+                head.push('\n');
+                Line::new(&mut head, "campaign").uint("digest", digest).end_line();
+                file.write_all(head.as_bytes())?;
                 file.sync_data()?;
             }
         }
         Ok(Self { file, restored })
     }
 
-    /// The recorded fields for `key`, when that point already completed.
+    /// The recorded point for `key`, when that point already completed.
     #[must_use]
-    pub fn restored(&self, key: &str) -> Option<&[(String, Scalar)]> {
-        self.restored.get(key).map(Vec::as_slice)
+    pub fn restored(&self, key: &str) -> Option<Record<'_>> {
+        self.restored.get(key).and_then(|line| Record::parse(line).ok())
     }
 
     /// How many completed points the journal restored.
@@ -223,32 +215,23 @@ impl GridCheckpoint {
         self.restored.len()
     }
 
-    /// Durably appends a completed grid point (one flat-JSONL line,
-    /// `sync_data` before returning). `key` must be quote-free; numbers
-    /// are written with the shortest-round-trip formatter so restored
-    /// points reproduce artifacts bit-for-bit.
+    /// Durably appends a completed grid point: one `grid_point` record
+    /// carrying `key` and whatever fields `fields` adds, then
+    /// `sync_data` before returning. Numbers use the shortest
+    /// round-trip form, so restored points reproduce artifacts
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn record(&mut self, key: &str, fields: &[(&str, Scalar)]) -> std::io::Result<()> {
-        use std::fmt::Write as _;
-        let mut line = format!("{{\"type\":\"grid_point\",\"key\":\"{key}\"");
-        for (k, v) in fields {
-            match v {
-                Scalar::Num(x) => {
-                    let _ = write!(line, ",\"{k}\":{}", fmt_num(*x));
-                }
-                Scalar::Str(s) => {
-                    let _ = write!(line, ",\"{k}\":\"{s}\"");
-                }
-                Scalar::Bool(b) => {
-                    let _ = write!(line, ",\"{k}\":{b}");
-                }
-            }
-        }
-        line.push('}');
-        writeln!(self.file, "{line}")?;
+    pub fn record(
+        &mut self,
+        key: &str,
+        fields: impl FnOnce(Line<'_>) -> Line<'_>,
+    ) -> std::io::Result<()> {
+        let mut line = String::new();
+        fields(Line::new(&mut line, "grid_point").str("key", key)).end_line();
+        self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
     }
 }
@@ -309,19 +292,14 @@ mod tests {
 
         let mut ck = GridCheckpoint::open_in(&dir, "demo", digest).unwrap();
         assert_eq!(ck.restored_len(), 0);
-        ck.record(
-            "loss=0.2",
-            &[("max_queue", Scalar::Num(1.25e6)), ("stable", Scalar::Bool(false))],
-        )
-        .unwrap();
+        ck.record("loss=0.2", |l| l.num("max_queue", 1.25e6).bool("stable", false)).unwrap();
         drop(ck);
 
         let ck = GridCheckpoint::open_in(&dir, "demo", digest).unwrap();
         assert_eq!(ck.restored_len(), 1);
-        let fields = ck.restored("loss=0.2").unwrap();
-        let mq = field(fields, "max_queue").unwrap();
-        assert_eq!(mq.as_f64("max_queue").unwrap().to_bits(), 1.25e6_f64.to_bits());
-        assert!(!field(fields, "stable").unwrap().as_bool("stable").unwrap());
+        let point = ck.restored("loss=0.2").unwrap();
+        assert_eq!(point.f64("max_queue").unwrap().to_bits(), 1.25e6_f64.to_bits());
+        assert!(!point.bool("stable").unwrap());
         assert!(ck.restored("loss=0.5").is_none());
         drop(ck);
 
@@ -346,6 +324,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, grid_digest(&[0.0, 0.05, 0.1]));
         assert!(a < (1 << 53) && b < (1 << 53));
+        // Pinned: journals already on disk carry this digest form.
+        assert_eq!(a, 2_634_562_677_895_096);
     }
 
     #[test]

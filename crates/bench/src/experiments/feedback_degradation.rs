@@ -22,7 +22,6 @@ use dcesim::sim::{fluid_validation_params, SimConfig, Simulation};
 use dcesim::time::Duration;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
-use telemetry::Scalar;
 
 use crate::common::{banner, grid_digest, out_dir, quick, save_plot, GridCheckpoint};
 use crate::ExpResult;
@@ -126,19 +125,15 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
     for &delay_us in &delays_us {
         for &loss in &losses {
             let key = format!("loss={loss},delay_us={delay_us}");
-            let point = if let Some(fields) = ckpt.as_ref().and_then(|c| c.restored(&key)) {
-                let get = |k: &str| {
-                    telemetry::field(fields, k)
-                        .map_err(|_| format!("checkpoint point `{key}` lacks field `{k}`"))
-                };
+            let point = if let Some(r) = ckpt.as_ref().and_then(|c| c.restored(&key)) {
                 Point {
                     loss,
                     delay_us,
-                    max_queue: get("max_queue")?.as_f64("max_queue")?,
-                    drops: get("drops")?.as_u64("drops")?,
-                    pauses: get("pauses")?.as_u64("pauses")?,
-                    feedback: get("feedback")?.as_u64("feedback")?,
-                    stable: get("stable")?.as_bool("stable")?,
+                    max_queue: r.f64("max_queue")?,
+                    drops: r.u64("drops")?,
+                    pauses: r.u64("pauses")?,
+                    feedback: r.u64("feedback")?,
+                    stable: r.bool("stable")?,
                 }
             } else {
                 let mut cfg =
@@ -170,17 +165,16 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
                     stable,
                 };
                 if let Some(c) = ckpt.as_mut() {
+                    // Counts go through the float form the journal has
+                    // always used, so older journals stay byte-identical.
                     #[allow(clippy::cast_precision_loss)]
-                    c.record(
-                        &key,
-                        &[
-                            ("max_queue", Scalar::Num(p.max_queue)),
-                            ("drops", Scalar::Num(p.drops as f64)),
-                            ("pauses", Scalar::Num(p.pauses as f64)),
-                            ("feedback", Scalar::Num(p.feedback as f64)),
-                            ("stable", Scalar::Bool(p.stable)),
-                        ],
-                    )?;
+                    c.record(&key, |l| {
+                        l.num("max_queue", p.max_queue)
+                            .num("drops", p.drops as f64)
+                            .num("pauses", p.pauses as f64)
+                            .num("feedback", p.feedback as f64)
+                            .bool("stable", p.stable)
+                    })?;
                 }
                 p
             };

@@ -945,30 +945,21 @@ fn render_postmortem(
     panic_after: Option<u64>,
     max_events: Option<u64>,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", telemetry::schema_header());
-    let _ = writeln!(
-        out,
-        r#"{{"type":"postmortem","seed":{seed},"cause":"{}","events":{},"open_spans":{},"config_digest":{}}}"#,
-        report_pipeline::json_escape(cause),
-        tel.trace.len(),
-        tel.open_spans().len(),
-        sim_config_digest(sim_cfg)
-    );
+    let mut out = telemetry::schema_header();
+    out.push('\n');
+    telemetry::Line::new(&mut out, "postmortem")
+        .uint("seed", seed)
+        .str("cause", cause)
+        .uint("events", tel.trace.len() as u64)
+        .uint("open_spans", tel.open_spans().len() as u64)
+        .uint("config_digest", sim_config_digest(sim_cfg))
+        .end_line();
     for s in tel.open_spans() {
-        let _ = writeln!(
-            out,
-            r#"{{"type":"open_span","id":{},"parent":{},"kind":"{}","entity":{},"t_begin":{}}}"#,
-            s.id,
-            s.parent,
-            s.kind.name(),
-            s.entity,
-            s.t_begin
-        );
+        telemetry::open_span_to_jsonl(&mut out, s);
     }
     for e in tel.trace.iter() {
-        let _ = writeln!(out, "{}", telemetry::event_to_jsonl(e));
+        telemetry::write_event(&mut out, e);
+        out.push('\n');
     }
     encode_replay_context(seed, panic_after, max_events, sim_cfg, &mut out);
     out
@@ -1211,10 +1202,12 @@ pub fn query(args: &[String]) -> Result<String, CliError> {
                     // Streaming contract: one bad line costs one error
                     // record in the output, never the whole run.
                     skipped += 1;
-                    slots.push(Some(format!(
-                        r#"{{"type":"error","line":{lineno},"cause":"{}"}}"#,
-                        report_pipeline::json_escape(&e.to_string())
-                    )));
+                    let mut record = String::new();
+                    telemetry::Line::new(&mut record, "error")
+                        .uint("line", lineno as u64)
+                        .str("cause", &e.to_string())
+                        .end();
+                    slots.push(Some(record));
                 }
             }
         }

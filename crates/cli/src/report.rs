@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Series, SvgPlot};
-use telemetry::{Event, SeriesKind, SpanKind, Telemetry};
+use telemetry::{json_escape, Event, SeriesKind, SpanKind, Telemetry};
 
 /// The color used for PAUSE-episode span bands.
 const PAUSE_BAND_COLOR: &str = "#d62728";
@@ -149,25 +149,6 @@ fn rate_plot(tel: &Telemetry, spans: &[SpanInterval]) -> SvgPlot {
         }
     }
     with_annotations(plot, tel, spans)
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a finite f64 as a JSON number, `null` otherwise.

@@ -306,8 +306,7 @@ pub enum SeedOutcome<R = SimReport> {
     /// quarantined and the rest of the batch is unaffected.
     Failed {
         /// Human-readable failure cause (panic message or config
-        /// error), sanitised to survive the flat JSONL codec (no `"`
-        /// or control characters).
+        /// error), verbatim.
         cause: String,
         /// How many retry attempts were burned before this failure was
         /// accepted (0 when retries are disabled, as on fabrics).
@@ -421,20 +420,6 @@ const WALL_CHECK_EVERY: u64 = 4096;
 #[must_use]
 pub fn timeout_cause(events: u64) -> String {
     format!("watchdog: event budget exhausted after {events} events")
-}
-
-/// Strips characters the flat JSONL codec cannot carry (`"` becomes
-/// `'`, control characters become spaces). Applied to every failure
-/// cause at the point of capture, so the in-memory outcome, the
-/// checkpoint shard, and the postmortem dump all agree byte for byte.
-fn sanitize_cause(s: &str) -> String {
-    s.chars()
-        .map(|c| match c {
-            '"' => '\'',
-            c if c.is_control() => ' ',
-            c => c,
-        })
-        .collect()
 }
 
 /// A deterministic uniform sample in `[0, 1)` keyed by `(seed, flow,
@@ -592,7 +577,7 @@ fn run_seeded<E: BatchEngine>(
             SeedOutcome::TimedOut { events, telemetry: sim.take_telemetry().map(Box::new) }
         }
         Err(payload) => SeedOutcome::Failed {
-            cause: sanitize_cause(&panic_message(payload.as_ref())),
+            cause: panic_message(payload.as_ref()),
             retries: 0,
             telemetry: sim.take_telemetry().map(Box::new),
         },
@@ -617,7 +602,7 @@ fn run_seed_with_retry<B: SeedBatch>(
             Err(e) => {
                 *ws = local;
                 return SeedOutcome::Failed {
-                    cause: sanitize_cause(&e.to_string()),
+                    cause: e.to_string(),
                     retries: attempt,
                     telemetry: None,
                 };
@@ -806,7 +791,7 @@ impl std::error::Error for ReplayMismatch {}
 pub fn replay(spec: &ReplaySpec) -> Result<String, ReplayMismatch> {
     let mismatch = |got: Option<String>| ReplayMismatch { expected: spec.cause.clone(), got };
     if let Err(e) = spec.config.validate() {
-        let got = sanitize_cause(&e.to_string());
+        let got = e.to_string();
         return if got == spec.cause { Ok(got) } else { Err(mismatch(Some(got))) };
     }
     let mut ws = SimWorkspace::new();

@@ -23,15 +23,14 @@
 //! line.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use telemetry::{
-    check_schema_header, expect_type, field, fmt_num, next_record, parse_num, parse_scalars,
-    schema_header, snapshot_from_jsonl, snapshot_to_jsonl, JsonlError, Scalar, Telemetry,
+    check_schema_header, schema_header, snapshot_from_jsonl, snapshot_to_jsonl, JsonlError, Line,
+    Record, Telemetry,
 };
 
 use crate::batch::{BatchConfig, NetBatchConfig, ReportOf, SeedBatch, SeedOutcome, SeedReport};
@@ -332,71 +331,6 @@ fn scheduler_tag(s: Scheduler) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Record helpers
-// ---------------------------------------------------------------------
-
-type Fields = Vec<(String, Scalar)>;
-
-fn get_f64(fields: &Fields, key: &str) -> Result<f64, CheckpointError> {
-    Ok(field(fields, key)?.as_f64(key)?)
-}
-
-fn get_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
-    Ok(field(fields, key)?.as_u64(key)?)
-}
-
-fn get_u32(fields: &Fields, key: &str) -> Result<u32, CheckpointError> {
-    Ok(field(fields, key)?.as_u32(key)?)
-}
-
-fn get_bool(fields: &Fields, key: &str) -> Result<bool, CheckpointError> {
-    Ok(field(fields, key)?.as_bool(key)?)
-}
-
-fn get_str<'a>(fields: &'a Fields, key: &str) -> Result<&'a str, CheckpointError> {
-    Ok(field(fields, key)?.as_str(key)?)
-}
-
-/// Writes a full-range `u64` as two 32-bit halves (`<key>_hi`,
-/// `<key>_lo`): post-splitmix seeds and CPIDs use the whole 64-bit
-/// range, which the f64-funnelled number path cannot carry in one
-/// piece.
-fn put_split_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, r#","{key}_hi":{},"{key}_lo":{}"#, v >> 32, v & 0xffff_ffff);
-}
-
-fn get_split_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
-    let hi = get_u64(fields, &format!("{key}_hi"))?;
-    let lo = get_u64(fields, &format!("{key}_lo"))?;
-    if hi > u64::from(u32::MAX) || lo > u64::from(u32::MAX) {
-        return Err(CheckpointError::Format(format!("field `{key}` halves exceed 32 bits")));
-    }
-    Ok((hi << 32) | lo)
-}
-
-/// Packs numbers into one comma-separated string field.
-fn pack<T: Copy>(vals: &[T], fmt: impl Fn(T) -> String) -> String {
-    vals.iter().map(|&v| fmt(v)).collect::<Vec<_>>().join(",")
-}
-
-/// Unpacks a [`pack`]ed field token by token; `what` names it in errors.
-fn unpack<T, E>(
-    packed: &str,
-    what: &str,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Vec<T>, CheckpointError> {
-    if packed.is_empty() {
-        return Ok(Vec::new());
-    }
-    packed
-        .split(',')
-        .map(|tok| {
-            parse(tok).map_err(|_| CheckpointError::Format(format!("bad number `{tok}` in {what}")))
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Seeded-config codec (shared by postmortem dumps and replay)
 // ---------------------------------------------------------------------
 
@@ -410,117 +344,89 @@ pub fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
         Control::Qcn { .. } => "qcn",
         Control::None => "none",
     };
-    let _ = writeln!(
-        out,
-        r#"{{"type":"sim_config","digest":{},"capacity":{},"buffer_bits":{},"frame_bits":{},"prop_delay_ns":{},"t_end_ns":{},"record_interval_ns":{},"pause_hold_ns":{},"scheduler":"{}","control":"{}","flows":{}}}"#,
-        sim_config_digest(cfg),
-        fmt_num(cfg.capacity),
-        fmt_num(cfg.buffer_bits),
-        fmt_num(cfg.frame_bits),
-        cfg.prop_delay.as_nanos(),
-        cfg.t_end.as_nanos(),
-        cfg.record_interval.as_nanos(),
-        cfg.pause_hold.as_nanos(),
-        cfg.scheduler.name(),
-        control,
-        cfg.flows.len(),
-    );
+    Line::new(out, "sim_config")
+        .uint("digest", sim_config_digest(cfg))
+        .num("capacity", cfg.capacity)
+        .num("buffer_bits", cfg.buffer_bits)
+        .num("frame_bits", cfg.frame_bits)
+        .uint("prop_delay_ns", cfg.prop_delay.as_nanos())
+        .uint("t_end_ns", cfg.t_end.as_nanos())
+        .uint("record_interval_ns", cfg.record_interval.as_nanos())
+        .uint("pause_hold_ns", cfg.pause_hold.as_nanos())
+        .str("scheduler", cfg.scheduler.name())
+        .str("control", control)
+        .uint("flows", cfg.flows.len() as u64)
+        .end_line();
     match &cfg.control {
         Control::Bcn { cp, rp } => {
-            let mut line = String::from(r#"{"type":"bcn_cp""#);
-            put_split_u64(&mut line, "cpid", cp.cpid.0);
-            let _ = write!(
-                line,
-                r#","q0_bits":{},"qsc_bits":{},"w":{},"sample_every":{},"gate_positive":{},"has_fb_quant":{}"#,
-                fmt_num(cp.q0_bits),
-                fmt_num(cp.qsc_bits),
-                fmt_num(cp.w),
-                cp.sample_every,
-                cp.gate_positive,
-                cp.fb_quant.is_some(),
-            );
+            let mut line = Line::new(out, "bcn_cp")
+                .split_u64("cpid", cp.cpid.0)
+                .num("q0_bits", cp.q0_bits)
+                .num("qsc_bits", cp.qsc_bits)
+                .num("w", cp.w)
+                .uint("sample_every", cp.sample_every)
+                .bool("gate_positive", cp.gate_positive)
+                .bool("has_fb_quant", cp.fb_quant.is_some());
             if let Some(q) = cp.fb_quant {
-                let _ = write!(
-                    line,
-                    r#","fb_bits":{},"fb_range_bits":{}"#,
-                    q.bits,
-                    fmt_num(q.range_bits)
-                );
+                line = line.uint("fb_bits", u64::from(q.bits)).num("fb_range_bits", q.range_bits);
             }
-            line.push('}');
-            out.push_str(&line);
-            out.push('\n');
-            let _ = writeln!(
-                out,
-                r#"{{"type":"bcn_rp","gi":{},"gd":{},"ru":{},"gain_scale":{},"r_min":{},"r_max":{}}}"#,
-                fmt_num(rp.gi),
-                fmt_num(rp.gd),
-                fmt_num(rp.ru),
-                fmt_num(rp.gain_scale),
-                fmt_num(rp.r_min),
-                fmt_num(rp.r_max),
-            );
+            line.end_line();
+            Line::new(out, "bcn_rp")
+                .num("gi", rp.gi)
+                .num("gd", rp.gd)
+                .num("ru", rp.ru)
+                .num("gain_scale", rp.gain_scale)
+                .num("r_min", rp.r_min)
+                .num("r_max", rp.r_max)
+                .end_line();
         }
         Control::Qcn { cp, rp } => {
-            let _ = writeln!(
-                out,
-                r#"{{"type":"qcn_cp","q_eq_bits":{},"w":{},"sample_every":{}}}"#,
-                fmt_num(cp.q_eq_bits),
-                fmt_num(cp.w),
-                cp.sample_every,
-            );
-            let _ = writeln!(
-                out,
-                r#"{{"type":"qcn_rp","gd":{},"bc_limit_bits":{},"fr_cycles":{},"r_ai":{},"r_hai":{},"r_min":{},"r_max":{}}}"#,
-                fmt_num(rp.gd),
-                fmt_num(rp.bc_limit_bits),
-                rp.fr_cycles,
-                fmt_num(rp.r_ai),
-                fmt_num(rp.r_hai),
-                fmt_num(rp.r_min),
-                fmt_num(rp.r_max),
-            );
+            Line::new(out, "qcn_cp")
+                .num("q_eq_bits", cp.q_eq_bits)
+                .num("w", cp.w)
+                .uint("sample_every", cp.sample_every)
+                .end_line();
+            Line::new(out, "qcn_rp")
+                .num("gd", rp.gd)
+                .num("bc_limit_bits", rp.bc_limit_bits)
+                .uint("fr_cycles", u64::from(rp.fr_cycles))
+                .num("r_ai", rp.r_ai)
+                .num("r_hai", rp.r_hai)
+                .num("r_min", rp.r_min)
+                .num("r_max", rp.r_max)
+                .end_line();
         }
         Control::None => {}
     }
     for flow in &cfg.flows {
-        let _ = write!(
-            out,
-            r#"{{"type":"flow","start_ns":{},"initial_rate":{},"has_stop":{},"has_volume":{}"#,
-            flow.start.as_nanos(),
-            fmt_num(flow.initial_rate),
-            flow.stop.is_some(),
-            flow.volume_bits.is_some(),
-        );
+        let mut line = Line::new(out, "flow")
+            .uint("start_ns", flow.start.as_nanos())
+            .num("initial_rate", flow.initial_rate)
+            .bool("has_stop", flow.stop.is_some())
+            .bool("has_volume", flow.volume_bits.is_some());
         if let Some(t) = flow.stop {
-            let _ = write!(out, r#","stop_ns":{}"#, t.as_nanos());
+            line = line.uint("stop_ns", t.as_nanos());
         }
         if let Some(v) = flow.volume_bits {
-            let _ = write!(out, r#","volume_bits":{}"#, fmt_num(v));
+            line = line.num("volume_bits", v);
         }
-        out.push_str("}\n");
+        line.end_line();
     }
     let fl = &cfg.faults;
-    let mut line = String::from(r#"{"type":"fault_plan""#);
-    put_split_u64(&mut line, "seed", fl.seed);
-    let _ = write!(
-        line,
-        r#","feedback_loss":{},"feedback_corrupt":{},"feedback_extra_delay_ns":{},"feedback_reorder":{},"reorder_window_ns":{},"data_loss":{},"data_burst_len":{},"link_flap_period_ns":{},"link_flap_down_ns":{},"pause_storm":{},"pause_storm_factor":{}"#,
-        fmt_num(fl.feedback_loss),
-        fmt_num(fl.feedback_corrupt),
-        fl.feedback_extra_delay.as_nanos(),
-        fmt_num(fl.feedback_reorder),
-        fl.reorder_window.as_nanos(),
-        fmt_num(fl.data_loss),
-        fl.data_burst_len,
-        fl.link_flap_period.as_nanos(),
-        fl.link_flap_down.as_nanos(),
-        fmt_num(fl.pause_storm),
-        fmt_num(fl.pause_storm_factor),
-    );
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
+    Line::new(out, "fault_plan")
+        .split_u64("seed", fl.seed)
+        .num("feedback_loss", fl.feedback_loss)
+        .num("feedback_corrupt", fl.feedback_corrupt)
+        .uint("feedback_extra_delay_ns", fl.feedback_extra_delay.as_nanos())
+        .num("feedback_reorder", fl.feedback_reorder)
+        .uint("reorder_window_ns", fl.reorder_window.as_nanos())
+        .num("data_loss", fl.data_loss)
+        .uint("data_burst_len", fl.data_burst_len)
+        .uint("link_flap_period_ns", fl.link_flap_period.as_nanos())
+        .uint("link_flap_down_ns", fl.link_flap_down.as_nanos())
+        .num("pause_storm", fl.pause_storm)
+        .num("pause_storm_factor", fl.pause_storm_factor)
+        .end_line();
 }
 
 /// Decodes a [`SimConfig`] block written by [`encode_sim_config`],
@@ -534,67 +440,59 @@ pub fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
 pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<SimConfig, CheckpointError> {
-    let head = next_record(lines, "`sim_config` record")?;
-    expect_type(&head, "sim_config")?;
-    let digest = get_u64(&head, "digest")?;
-    let scheduler = match get_str(&head, "scheduler")? {
+    let head = Record::next(lines, "sim_config")?;
+    let digest = head.u64("digest")?;
+    let scheduler = match &*head.str("scheduler")? {
         "wheel" => Scheduler::Wheel,
         "heap" => Scheduler::Heap,
         other => {
             return Err(CheckpointError::Format(format!("unknown scheduler `{other}`")));
         }
     };
-    let control = match get_str(&head, "control")? {
+    let control = match &*head.str("control")? {
         "bcn" => {
-            let cp = next_record(lines, "`bcn_cp` record")?;
-            expect_type(&cp, "bcn_cp")?;
-            let fb_quant = if get_bool(&cp, "has_fb_quant")? {
-                Some(FbQuant {
-                    bits: get_u32(&cp, "fb_bits")?,
-                    range_bits: get_f64(&cp, "fb_range_bits")?,
-                })
+            let cp = Record::next(lines, "bcn_cp")?;
+            let fb_quant = if cp.bool("has_fb_quant")? {
+                Some(FbQuant { bits: cp.u32("fb_bits")?, range_bits: cp.f64("fb_range_bits")? })
             } else {
                 None
             };
             let cp = CpConfig {
-                cpid: CpId(get_split_u64(&cp, "cpid")?),
-                q0_bits: get_f64(&cp, "q0_bits")?,
-                qsc_bits: get_f64(&cp, "qsc_bits")?,
-                w: get_f64(&cp, "w")?,
-                sample_every: get_u64(&cp, "sample_every")?,
+                cpid: CpId(cp.split_u64("cpid")?),
+                q0_bits: cp.f64("q0_bits")?,
+                qsc_bits: cp.f64("qsc_bits")?,
+                w: cp.f64("w")?,
+                sample_every: cp.u64("sample_every")?,
                 fb_quant,
-                gate_positive: get_bool(&cp, "gate_positive")?,
+                gate_positive: cp.bool("gate_positive")?,
             };
-            let rp = next_record(lines, "`bcn_rp` record")?;
-            expect_type(&rp, "bcn_rp")?;
+            let rp = Record::next(lines, "bcn_rp")?;
             let rp = RpConfig {
-                gi: get_f64(&rp, "gi")?,
-                gd: get_f64(&rp, "gd")?,
-                ru: get_f64(&rp, "ru")?,
-                gain_scale: get_f64(&rp, "gain_scale")?,
-                r_min: get_f64(&rp, "r_min")?,
-                r_max: get_f64(&rp, "r_max")?,
+                gi: rp.f64("gi")?,
+                gd: rp.f64("gd")?,
+                ru: rp.f64("ru")?,
+                gain_scale: rp.f64("gain_scale")?,
+                r_min: rp.f64("r_min")?,
+                r_max: rp.f64("r_max")?,
             };
             Control::Bcn { cp, rp }
         }
         "qcn" => {
-            let cp = next_record(lines, "`qcn_cp` record")?;
-            expect_type(&cp, "qcn_cp")?;
+            let cp = Record::next(lines, "qcn_cp")?;
             let cp = QcnCpConfig {
-                q_eq_bits: get_f64(&cp, "q_eq_bits")?,
-                w: get_f64(&cp, "w")?,
-                sample_every: get_u64(&cp, "sample_every")?,
+                q_eq_bits: cp.f64("q_eq_bits")?,
+                w: cp.f64("w")?,
+                sample_every: cp.u64("sample_every")?,
             };
-            let rp = next_record(lines, "`qcn_rp` record")?;
-            expect_type(&rp, "qcn_rp")?;
+            let rp = Record::next(lines, "qcn_rp")?;
             let rp = QcnRpConfig {
-                gd: get_f64(&rp, "gd")?,
-                bc_limit_bits: get_f64(&rp, "bc_limit_bits")?,
-                fr_cycles: get_u32(&rp, "fr_cycles")?,
-                r_ai: get_f64(&rp, "r_ai")?,
-                r_hai: get_f64(&rp, "r_hai")?,
-                r_min: get_f64(&rp, "r_min")?,
-                r_max: get_f64(&rp, "r_max")?,
+                gd: rp.f64("gd")?,
+                bc_limit_bits: rp.f64("bc_limit_bits")?,
+                fr_cycles: rp.u32("fr_cycles")?,
+                r_ai: rp.f64("r_ai")?,
+                r_hai: rp.f64("r_hai")?,
+                r_min: rp.f64("r_min")?,
+                r_max: rp.f64("r_max")?,
             };
             Control::Qcn { cp, rp }
         }
@@ -603,52 +501,47 @@ pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
             return Err(CheckpointError::Format(format!("unknown control `{other}`")));
         }
     };
-    let n_flows = get_u64(&head, "flows")? as usize;
-    let mut flows = Vec::with_capacity(n_flows);
-    for _ in 0..n_flows {
-        let f = next_record(lines, "`flow` record")?;
-        expect_type(&f, "flow")?;
+    // The count comes from the file: it bounds the loop, never a
+    // pre-allocation, so a forged count fails on the missing lines.
+    let mut flows = Vec::new();
+    for _ in 0..head.u64("flows")? {
+        let f = Record::next(lines, "flow")?;
         flows.push(FlowSpec {
-            start: Time::from_nanos(get_u64(&f, "start_ns")?),
-            stop: if get_bool(&f, "has_stop")? {
-                Some(Time::from_nanos(get_u64(&f, "stop_ns")?))
+            start: Time::from_nanos(f.u64("start_ns")?),
+            stop: if f.bool("has_stop")? {
+                Some(Time::from_nanos(f.u64("stop_ns")?))
             } else {
                 None
             },
-            initial_rate: get_f64(&f, "initial_rate")?,
-            volume_bits: if get_bool(&f, "has_volume")? {
-                Some(get_f64(&f, "volume_bits")?)
-            } else {
-                None
-            },
+            initial_rate: f.f64("initial_rate")?,
+            volume_bits: if f.bool("has_volume")? { Some(f.f64("volume_bits")?) } else { None },
         });
     }
-    let fp = next_record(lines, "`fault_plan` record")?;
-    expect_type(&fp, "fault_plan")?;
+    let fp = Record::next(lines, "fault_plan")?;
     let faults = FaultConfig {
-        seed: get_split_u64(&fp, "seed")?,
-        feedback_loss: get_f64(&fp, "feedback_loss")?,
-        feedback_corrupt: get_f64(&fp, "feedback_corrupt")?,
-        feedback_extra_delay: Duration::from_nanos(get_u64(&fp, "feedback_extra_delay_ns")?),
-        feedback_reorder: get_f64(&fp, "feedback_reorder")?,
-        reorder_window: Duration::from_nanos(get_u64(&fp, "reorder_window_ns")?),
-        data_loss: get_f64(&fp, "data_loss")?,
-        data_burst_len: get_u64(&fp, "data_burst_len")?,
-        link_flap_period: Duration::from_nanos(get_u64(&fp, "link_flap_period_ns")?),
-        link_flap_down: Duration::from_nanos(get_u64(&fp, "link_flap_down_ns")?),
-        pause_storm: get_f64(&fp, "pause_storm")?,
-        pause_storm_factor: get_f64(&fp, "pause_storm_factor")?,
+        seed: fp.split_u64("seed")?,
+        feedback_loss: fp.f64("feedback_loss")?,
+        feedback_corrupt: fp.f64("feedback_corrupt")?,
+        feedback_extra_delay: Duration::from_nanos(fp.u64("feedback_extra_delay_ns")?),
+        feedback_reorder: fp.f64("feedback_reorder")?,
+        reorder_window: Duration::from_nanos(fp.u64("reorder_window_ns")?),
+        data_loss: fp.f64("data_loss")?,
+        data_burst_len: fp.u64("data_burst_len")?,
+        link_flap_period: Duration::from_nanos(fp.u64("link_flap_period_ns")?),
+        link_flap_down: Duration::from_nanos(fp.u64("link_flap_down_ns")?),
+        pause_storm: fp.f64("pause_storm")?,
+        pause_storm_factor: fp.f64("pause_storm_factor")?,
     };
     let cfg = SimConfig {
-        capacity: get_f64(&head, "capacity")?,
-        buffer_bits: get_f64(&head, "buffer_bits")?,
-        frame_bits: get_f64(&head, "frame_bits")?,
-        prop_delay: Duration::from_nanos(get_u64(&head, "prop_delay_ns")?),
+        capacity: head.f64("capacity")?,
+        buffer_bits: head.f64("buffer_bits")?,
+        frame_bits: head.f64("frame_bits")?,
+        prop_delay: Duration::from_nanos(head.u64("prop_delay_ns")?),
         flows,
         control,
-        t_end: Time::from_nanos(get_u64(&head, "t_end_ns")?),
-        record_interval: Duration::from_nanos(get_u64(&head, "record_interval_ns")?),
-        pause_hold: Duration::from_nanos(get_u64(&head, "pause_hold_ns")?),
+        t_end: Time::from_nanos(head.u64("t_end_ns")?),
+        record_interval: Duration::from_nanos(head.u64("record_interval_ns")?),
+        pause_hold: Duration::from_nanos(head.u64("pause_hold_ns")?),
         faults,
         scheduler,
     };
@@ -681,16 +574,14 @@ pub fn encode_seed_outcome<R: SeedReport>(seed: u64, outcome: &SeedOutcome<R>, o
             ("timed_out", 0, "", *events, telemetry.as_deref())
         }
     };
-    let mut line = String::from(r#"{"type":"seed""#);
-    put_split_u64(&mut line, "seed", seed);
-    let _ = write!(
-        line,
-        r#","outcome":"{kind}","retries":{retries},"events":{events},"has_telemetry":{},"cause":"{cause}""#,
-        tel.is_some(),
-    );
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
+    Line::new(out, "seed")
+        .split_u64("seed", seed)
+        .str("outcome", kind)
+        .uint("retries", u64::from(retries))
+        .uint("events", events)
+        .bool("has_telemetry", tel.is_some())
+        .str("cause", cause)
+        .end_line();
     if let SeedOutcome::Completed(report) = outcome {
         report.encode_body(out);
     }
@@ -709,18 +600,16 @@ pub fn encode_seed_outcome<R: SeedReport>(seed: u64, outcome: &SeedOutcome<R>, o
 pub fn decode_seed_outcome<'a, R: SeedReport, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<(u64, SeedOutcome<R>), CheckpointError> {
-    let head = next_record(lines, "`seed` record")?;
-    expect_type(&head, "seed")?;
-    let seed = get_split_u64(&head, "seed")?;
-    let kind = get_str(&head, "outcome")?.to_string();
-    let retries = get_u32(&head, "retries")?;
-    let events = get_u64(&head, "events")?;
-    let has_tel = get_bool(&head, "has_telemetry")?;
-    let cause = get_str(&head, "cause")?.to_string();
+    let head = Record::next(lines, "seed")?;
+    let seed = head.split_u64("seed")?;
+    let retries = head.u32("retries")?;
+    let events = head.u64("events")?;
+    let has_tel = head.bool("has_telemetry")?;
+    let cause = head.str("cause")?.into_owned();
     let take_telemetry = |lines: &mut I| -> Result<Option<Telemetry>, CheckpointError> {
         Ok(if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None })
     };
-    let outcome = match kind.as_str() {
+    let outcome = match &*head.str("outcome")? {
         "completed" => {
             let mut report = R::decode_body(lines)?;
             *report.telemetry_mut() = take_telemetry(lines)?;
@@ -752,16 +641,14 @@ impl SeedReport for SimReport {
 
     fn encode_body(&self, out: &mut String) {
         let m = &self.metrics;
-        let _ = writeln!(
-            out,
-            r#"{{"type":"sim_counters","delivered_frames":{},"dropped_frames":{},"feedback_messages":{},"pause_events":{},"delivered_bits":{},"sources":{}}}"#,
-            m.delivered_frames,
-            m.dropped_frames,
-            m.feedback_messages,
-            m.pause_events,
-            fmt_num(m.delivered_bits),
-            m.per_source_rate.len(),
-        );
+        Line::new(out, "sim_counters")
+            .uint("delivered_frames", m.delivered_frames)
+            .uint("dropped_frames", m.dropped_frames)
+            .uint("feedback_messages", m.feedback_messages)
+            .uint("pause_events", m.pause_events)
+            .num("delivered_bits", m.delivered_bits)
+            .uint("sources", m.per_source_rate.len() as u64)
+            .end_line();
         put_fault_counts(out, &m.faults);
         put_samples(out, "final_rates", &self.final_rates);
         put_samples(out, "per_source_bits", &m.per_source_bits);
@@ -776,17 +663,15 @@ impl SeedReport for SimReport {
     fn decode_body<'a, I: Iterator<Item = &'a str>>(
         lines: &mut I,
     ) -> Result<Self, CheckpointError> {
-        let c = next_record(lines, "`sim_counters` record")?;
-        expect_type(&c, "sim_counters")?;
-        let sources = get_u64(&c, "sources")? as usize;
+        let c = Record::next(lines, "sim_counters")?;
         let faults = take_fault_counts(lines)?;
         let final_rates = take_samples(lines, "final_rates")?;
         let per_source_bits = take_samples(lines, "per_source_bits")?;
         let delay_vals = take_samples(lines, "queueing_delay")?;
         let queue = take_series(lines, "queue")?;
         let aggregate_rate = take_series(lines, "aggregate_rate")?;
-        let mut per_source_rate = Vec::with_capacity(sources);
-        for _ in 0..sources {
+        let mut per_source_rate = Vec::new();
+        for _ in 0..c.u64("sources")? {
             per_source_rate.push(take_series(lines, "rate")?);
         }
         let mut queueing_delay = crate::metrics::SampleSet::new();
@@ -796,12 +681,12 @@ impl SeedReport for SimReport {
         let metrics = SimMetrics {
             queue,
             aggregate_rate,
-            delivered_frames: get_u64(&c, "delivered_frames")?,
-            dropped_frames: get_u64(&c, "dropped_frames")?,
-            feedback_messages: get_u64(&c, "feedback_messages")?,
-            pause_events: get_u64(&c, "pause_events")?,
+            delivered_frames: c.u64("delivered_frames")?,
+            dropped_frames: c.u64("dropped_frames")?,
+            feedback_messages: c.u64("feedback_messages")?,
+            pause_events: c.u64("pause_events")?,
             per_source_bits,
-            delivered_bits: get_f64(&c, "delivered_bits")?,
+            delivered_bits: c.f64("delivered_bits")?,
             queueing_delay,
             per_source_rate,
             faults,
@@ -822,16 +707,13 @@ impl SeedReport for NetReport {
     }
 
     fn encode_body(&self, out: &mut String) {
-        let dropped: Vec<u64> = self.flows.iter().map(|f| f.dropped_frames).collect();
-        let _ = writeln!(
-            out,
-            r#"{{"type":"net_counters","feedback_messages":{},"flows":{},"switches":{},"pause_counts":"{}","dropped_frames":"{}"}}"#,
-            self.feedback_messages,
-            self.flows.len(),
-            self.switch_queues.len(),
-            pack(&self.pause_counts, |v| v.to_string()),
-            pack(&dropped, |v| v.to_string()),
-        );
+        Line::new(out, "net_counters")
+            .uint("feedback_messages", self.feedback_messages)
+            .uint("flows", self.flows.len() as u64)
+            .uint("switches", self.switch_queues.len() as u64)
+            .list("pause_counts", self.pause_counts.iter().copied())
+            .list("dropped_frames", self.flows.iter().map(|f| f.dropped_frames))
+            .end_line();
         put_fault_counts(out, &self.faults);
         let delivered: Vec<f64> = self.flows.iter().map(|f| f.delivered_bits).collect();
         let rates: Vec<f64> = self.flows.iter().map(|f| f.final_rate).collect();
@@ -845,16 +727,14 @@ impl SeedReport for NetReport {
     fn decode_body<'a, I: Iterator<Item = &'a str>>(
         lines: &mut I,
     ) -> Result<Self, CheckpointError> {
-        let c = next_record(lines, "`net_counters` record")?;
-        expect_type(&c, "net_counters")?;
-        let n_flows = get_u64(&c, "flows")? as usize;
-        let n_switches = get_u64(&c, "switches")? as usize;
-        let pause_counts = unpack(get_str(&c, "pause_counts")?, "pause_counts", str::parse)?;
-        let dropped = unpack(get_str(&c, "dropped_frames")?, "dropped_frames", str::parse)?;
+        let c = Record::next(lines, "net_counters")?;
+        let n_flows = c.u64("flows")?;
+        let pause_counts = c.list("pause_counts")?;
+        let dropped: Vec<u64> = c.list("dropped_frames")?;
         let faults = take_fault_counts(lines)?;
         let delivered = take_samples(lines, "delivered_bits")?;
         let rates = take_samples(lines, "final_rate")?;
-        if delivered.len() != n_flows || rates.len() != n_flows || dropped.len() != n_flows {
+        if [delivered.len(), rates.len(), dropped.len()].iter().any(|&n| n as u64 != n_flows) {
             return Err(CheckpointError::Format(format!(
                 "net shard: {n_flows} flows vs {} delivered / {} rates / {} drop counts",
                 delivered.len(),
@@ -872,15 +752,15 @@ impl SeedReport for NetReport {
                 final_rate,
             })
             .collect();
-        let mut switch_queues = Vec::with_capacity(n_switches);
-        for _ in 0..n_switches {
+        let mut switch_queues = Vec::new();
+        for _ in 0..c.u64("switches")? {
             switch_queues.push(take_series(lines, "switch_queue")?);
         }
         Ok(NetReport {
             flows,
             switch_queues,
             pause_counts,
-            feedback_messages: get_u64(&c, "feedback_messages")?,
+            feedback_messages: c.u64("feedback_messages")?,
             faults,
             telemetry: None,
         })
@@ -888,83 +768,76 @@ impl SeedReport for NetReport {
 }
 
 fn put_samples(out: &mut String, name: &str, vals: &[f64]) {
-    let _ =
-        writeln!(out, r#"{{"type":"samples","name":"{name}","values":"{}"}}"#, pack(vals, fmt_num));
+    Line::new(out, "samples").str("name", name).list("values", vals.iter().copied()).end_line();
 }
 
 fn put_fault_counts(out: &mut String, f: &FaultCounts) {
-    let _ = writeln!(
-        out,
-        r#"{{"type":"fault_counts","feedback_dropped":{},"feedback_corrupted":{},"feedback_corrupt_lost":{},"feedback_delayed":{},"feedback_reordered":{},"data_frames_lost":{},"link_flap_deferrals":{},"pause_storms":{}}}"#,
-        f.feedback_dropped,
-        f.feedback_corrupted,
-        f.feedback_corrupt_lost,
-        f.feedback_delayed,
-        f.feedback_reordered,
-        f.data_frames_lost,
-        f.link_flap_deferrals,
-        f.pause_storms,
-    );
+    Line::new(out, "fault_counts")
+        .uint("feedback_dropped", f.feedback_dropped)
+        .uint("feedback_corrupted", f.feedback_corrupted)
+        .uint("feedback_corrupt_lost", f.feedback_corrupt_lost)
+        .uint("feedback_delayed", f.feedback_delayed)
+        .uint("feedback_reordered", f.feedback_reordered)
+        .uint("data_frames_lost", f.data_frames_lost)
+        .uint("link_flap_deferrals", f.link_flap_deferrals)
+        .uint("pause_storms", f.pause_storms)
+        .end_line();
 }
 
 fn take_fault_counts<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<FaultCounts, CheckpointError> {
-    let fc = next_record(lines, "`fault_counts` record")?;
-    expect_type(&fc, "fault_counts")?;
+    let fc = Record::next(lines, "fault_counts")?;
     Ok(FaultCounts {
-        feedback_dropped: get_u64(&fc, "feedback_dropped")?,
-        feedback_corrupted: get_u64(&fc, "feedback_corrupted")?,
-        feedback_corrupt_lost: get_u64(&fc, "feedback_corrupt_lost")?,
-        feedback_delayed: get_u64(&fc, "feedback_delayed")?,
-        feedback_reordered: get_u64(&fc, "feedback_reordered")?,
-        data_frames_lost: get_u64(&fc, "data_frames_lost")?,
-        link_flap_deferrals: get_u64(&fc, "link_flap_deferrals")?,
-        pause_storms: get_u64(&fc, "pause_storms")?,
+        feedback_dropped: fc.u64("feedback_dropped")?,
+        feedback_corrupted: fc.u64("feedback_corrupted")?,
+        feedback_corrupt_lost: fc.u64("feedback_corrupt_lost")?,
+        feedback_delayed: fc.u64("feedback_delayed")?,
+        feedback_reordered: fc.u64("feedback_reordered")?,
+        data_frames_lost: fc.u64("data_frames_lost")?,
+        link_flap_deferrals: fc.u64("link_flap_deferrals")?,
+        pause_storms: fc.u64("pause_storms")?,
     })
 }
 
 fn put_series(out: &mut String, name: &str, entity: Option<usize>, s: &crate::metrics::TimeSeries) {
-    let mut line = format!(r#"{{"type":"sim_series","name":"{name}""#);
+    let mut line = Line::new(out, "sim_series").str("name", name);
     if let Some(e) = entity {
-        let _ = write!(line, r#","entity":{e}"#);
+        line = line.uint("entity", e as u64);
     }
-    let _ = write!(
-        line,
-        r#","times":"{}","values":"{}""#,
-        pack(s.times(), fmt_num),
-        pack(s.values(), fmt_num)
-    );
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
+    line.list("times", s.times().iter().copied())
+        .list("values", s.values().iter().copied())
+        .end_line();
+}
+
+/// The next record of kind `ty`, which must carry `name`.
+fn named<'a, I: Iterator<Item = &'a str>>(
+    lines: &mut I,
+    ty: &str,
+    name: &str,
+) -> Result<Record<'a>, CheckpointError> {
+    let r = Record::next(lines, ty)?;
+    let found = r.str("name")?;
+    if found != name {
+        return Err(CheckpointError::Format(format!("expected {ty} `{name}`, found `{found}`")));
+    }
+    Ok(r)
 }
 
 fn take_samples<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     name: &str,
 ) -> Result<Vec<f64>, CheckpointError> {
-    let r = next_record(lines, "`samples` record")?;
-    expect_type(&r, "samples")?;
-    let found = get_str(&r, "name")?;
-    if found != name {
-        return Err(CheckpointError::Format(format!("expected samples `{name}`, found `{found}`")));
-    }
-    unpack(get_str(&r, "values")?, name, |t| parse_num(t, name))
+    Ok(named(lines, "samples", name)?.list("values")?)
 }
 
 fn take_series<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     name: &str,
 ) -> Result<crate::metrics::TimeSeries, CheckpointError> {
-    let r = next_record(lines, "`sim_series` record")?;
-    expect_type(&r, "sim_series")?;
-    let found = get_str(&r, "name")?;
-    if found != name {
-        return Err(CheckpointError::Format(format!("expected series `{name}`, found `{found}`")));
-    }
-    let times = unpack(get_str(&r, "times")?, name, |t| parse_num(t, name))?;
-    let values = unpack(get_str(&r, "values")?, name, |t| parse_num(t, name))?;
+    let r = named(lines, "sim_series", name)?;
+    let times: Vec<f64> = r.list("times")?;
+    let values: Vec<f64> = r.list("values")?;
     if times.len() != values.len() {
         return Err(CheckpointError::Format(format!(
             "series `{name}`: {} times vs {} values",
@@ -1047,11 +920,10 @@ impl<P: SeedBatch> BatchCheckpoint<P> {
         } else {
             let mut text = schema_header();
             text.push('\n');
-            let mut line = String::from(r#"{"type":"batch_manifest""#);
-            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds().len());
-            line.push('}');
-            text.push_str(&line);
-            text.push('\n');
+            Line::new(&mut text, "batch_manifest")
+                .uint("digest", digest)
+                .uint("seeds", cfg.seeds().len() as u64)
+                .end_line();
             write_atomic(&path, &text)?;
         }
         let manifest = fs::OpenOptions::new().append(true).open(&path)?;
@@ -1091,9 +963,8 @@ impl<P: SeedBatch> BatchCheckpoint<P> {
         text.push('\n');
         encode_seed_outcome(seed, outcome, &mut text);
         write_atomic(&self.dir.join(shard_name(seed)), &text)?;
-        let mut line = String::from(r#"{"type":"done""#);
-        put_split_u64(&mut line, "seed", seed);
-        line.push_str("}\n");
+        let mut line = String::new();
+        Line::new(&mut line, "done").split_u64("seed", seed).end_line();
         let mut f = self.manifest.lock().expect("manifest lock");
         f.write_all(line.as_bytes())?;
         f.sync_data()?;
@@ -1114,23 +985,16 @@ fn parse_manifest(text: &str, expected: u64) -> Result<Vec<u64>, CheckpointError
     let header =
         lines.next().ok_or_else(|| CheckpointError::Format("empty manifest".to_string()))?;
     check_schema_header(header)?;
-    let head = next_record(&mut lines, "`batch_manifest` record")?;
-    expect_type(&head, "batch_manifest")?;
-    let found = get_u64(&head, "digest")?;
+    let found = Record::next(&mut lines, "batch_manifest")?.u64("digest")?;
     if found != expected {
         return Err(CheckpointError::ConfigMismatch { expected, found });
     }
-    let mut done = Vec::new();
-    for line in lines {
-        let Ok(fields) = parse_scalars(line) else { continue };
-        if expect_type(&fields, "done").is_err() {
-            continue;
-        }
-        if let Ok(seed) = get_split_u64(&fields, "seed") {
-            done.push(seed);
-        }
-    }
-    Ok(done)
+    let done = lines.filter_map(|line| {
+        let r = Record::parse(line).ok()?;
+        r.expect_type("done").ok()?;
+        r.split_u64("seed").ok()
+    });
+    Ok(done.collect())
 }
 
 /// Loads one acknowledged shard; any failure (missing file, torn or
@@ -1193,18 +1057,13 @@ pub fn encode_replay_context(
     config: &SimConfig,
     out: &mut String,
 ) {
-    let mut line = String::from(r#"{"type":"replay""#);
-    put_split_u64(&mut line, "seed", seed);
-    let _ = write!(
-        line,
-        r#","has_panic_after":{},"panic_after":{},"has_max_events":{},"max_events":{}"#,
-        panic_after.is_some(),
-        panic_after.unwrap_or(0),
-        max_events.is_some(),
-        max_events.unwrap_or(0),
-    );
-    line.push_str("}\n");
-    out.push_str(&line);
+    Line::new(out, "replay")
+        .split_u64("seed", seed)
+        .bool("has_panic_after", panic_after.is_some())
+        .uint("panic_after", panic_after.unwrap_or(0))
+        .bool("has_max_events", max_events.is_some())
+        .uint("max_events", max_events.unwrap_or(0))
+        .end_line();
     encode_sim_config(config, out);
 }
 
@@ -1226,26 +1085,23 @@ pub fn replay_spec_from_postmortem(text: &str) -> Result<ReplaySpec, CheckpointE
     let mut config = None;
     let mut idx = 0;
     while idx < all.len() {
-        let line = all[idx];
-        let Ok(fields) = parse_scalars(line) else {
+        let Ok(r) = Record::parse(all[idx]) else {
             idx += 1;
             continue;
         };
-        match field(&fields, "type").and_then(|t| Ok(t.as_str("type")?.to_string())) {
-            Ok(t) if t == "postmortem" => {
-                cause = Some(get_str(&fields, "cause")?.to_string());
+        match r.str("type").as_deref() {
+            Ok("postmortem") => {
+                cause = Some(r.str("cause")?.into_owned());
                 idx += 1;
             }
-            Ok(t) if t == "replay" => {
-                let seed = get_split_u64(&fields, "seed")?;
-                let panic_after =
-                    get_bool(&fields, "has_panic_after")?.then(|| get_u64(&fields, "panic_after"));
-                let max_events =
-                    get_bool(&fields, "has_max_events")?.then(|| get_u64(&fields, "max_events"));
+            Ok("replay") => {
+                let seed = r.split_u64("seed")?;
+                let panic_after = r.bool("has_panic_after")?.then(|| r.u64("panic_after"));
+                let max_events = r.bool("has_max_events")?.then(|| r.u64("max_events"));
                 replay = Some((seed, panic_after.transpose()?, max_events.transpose()?));
                 idx += 1;
             }
-            Ok(t) if t == "sim_config" => {
+            Ok("sim_config") => {
                 let mut rest = all[idx..].iter().copied();
                 config = Some(decode_sim_config(&mut rest)?);
                 idx = all.len() - rest.count();
@@ -1351,6 +1207,19 @@ mod tests {
         assert_eq!(completed.completed().count(), 1);
         assert_round_trips(&report);
         assert_round_trips(&completed);
+        // Failure causes travel verbatim: quotes and control characters
+        // are escaped on write, not rewritten at capture.
+        let cause = "seed 9: \"quoted\"\n\tpanic".to_string();
+        let failed =
+            SeedOutcome::<SimReport>::Failed { cause: cause.clone(), retries: 2, telemetry: None };
+        let mut text = String::new();
+        encode_seed_outcome(9, &failed, &mut text);
+        match decode_seed_outcome::<SimReport, _>(&mut text.lines()).expect("decode") {
+            (9, SeedOutcome::Failed { cause: got, retries: 2, telemetry: None }) => {
+                assert_eq!(got, cause);
+            }
+            _ => panic!("failed outcome did not round-trip: {text}"),
+        }
     }
 
     /// Every outcome of `report` must decode from its encoding, consume
@@ -1443,6 +1312,53 @@ mod tests {
         let ck = BatchCheckpoint::resume(&dir, &cfg).expect("resume");
         assert_eq!(ck.restored_seeds(), vec![0], "seeds 1 (corrupt) and 2 (torn) must re-run");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites the first `"key":<number>` in `text` to `"key":value`.
+    fn forge(text: &str, key: &str, value: &str) -> String {
+        let pat = format!("\"{key}\":");
+        let at = text.find(&pat).unwrap_or_else(|| panic!("no `{key}` field")) + pat.len();
+        let end = at + text[at..].find([',', '}']).expect("field terminator");
+        format!("{}{value}{}", &text[..at], &text[end..])
+    }
+
+    /// Records a two-seed batch, forges one field of seed 0's shard,
+    /// and resumes: the forged shard must not restore or abort, and the
+    /// re-run seed must reproduce the clean run's outcome.
+    fn assert_forged_shard_reruns(tag: &str, key: &str, value: &str) {
+        let dir = scratch(tag);
+        let cfg = faulty_batch(2);
+        let ck = BatchCheckpoint::create(&dir, &cfg).expect("create");
+        let clean = run_batch_checkpointed(&cfg, &ck).expect("run");
+        drop(ck);
+        let path = dir.join(shard_name(0));
+        let text = fs::read_to_string(&path).expect("read shard");
+        fs::write(&path, forge(&text, key, value)).expect("forge shard");
+        let ck = BatchCheckpoint::resume(&dir, &cfg).expect("resume");
+        assert_eq!(ck.restored_seeds(), vec![1], "forged `{key}` shard must re-run seed 0");
+        let resumed = run_batch_checkpointed(&cfg, &ck).expect("resumed run");
+        let encode = |r: &crate::batch::BatchReport| {
+            let mut text = String::new();
+            encode_seed_outcome(0, &r.outcomes[0], &mut text);
+            text
+        };
+        assert_eq!(encode(&resumed), encode(&clean));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_source_count_reruns_the_seed() {
+        assert_forged_shard_reruns("forged-sources", "sources", "9007199254740992");
+    }
+
+    #[test]
+    fn forged_histogram_width_reruns_the_seed() {
+        assert_forged_shard_reruns("forged-buckets", "bucket_len", "9007199254740992");
+    }
+
+    #[test]
+    fn zero_trace_capacity_reruns_the_seed() {
+        assert_forged_shard_reruns("forged-capacity", "trace_capacity", "0");
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub const SUB_PER_OCTAVE: usize = 1 << SUB_BITS;
 const MIN_EXP: i32 = -128;
 /// Highest tracked binary exponent (`2^127 ≈ 1.7e38`).
 const MAX_EXP: i32 = 127;
+/// Number of exponent buckets in this build's layout; a histogram's
+/// bucket vector grows on demand and never exceeds it.
+#[allow(clippy::cast_sign_loss)]
+pub(crate) const BUCKETS: usize = (MAX_EXP - MIN_EXP + 1) as usize * SUB_PER_OCTAVE;
 
 /// A log-linear histogram over non-negative finite samples.
 ///

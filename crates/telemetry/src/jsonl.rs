@@ -1,11 +1,30 @@
-//! Hand-rolled JSONL serialization for [`Event`]s.
+//! The flat-JSONL record codec: the one place that knows the format of
+//! every JSONL artifact in the workspace (trace files, telemetry
+//! snapshots, checkpoint shards and manifests, postmortem dumps, query
+//! and answer streams, grid-campaign journals).
 //!
-//! Each event becomes one flat JSON object per line, e.g.
-//! `{"type":"region_switch","t":0.125,"from":0,"to":1}`. Floats are
-//! written with Rust's `{:?}` formatting (shortest representation that
-//! round-trips exactly); the extension tokens `NaN`, `inf`, and `-inf`
-//! are accepted and produced for non-finite values so every event
-//! round-trips bit-for-bit.
+//! A record is one flat JSON object per line whose first field names
+//! its kind, e.g. `{"type":"region_switch","t":0.125,"from":0,"to":1}`.
+//! Values are scalars only:
+//!
+//! * **Floats** are written with Rust's `{:?}` formatting (the shortest
+//!   representation that round-trips exactly) plus the extension tokens
+//!   `NaN`, `inf` and `-inf`, so every value round-trips bit for bit.
+//! * **Integers** are written in decimal and read through the float
+//!   path, so one field carries at most 2^53; a
+//!   full-range `u64` is split into `<key>_hi`/`<key>_lo` 32-bit halves.
+//! * **Strings** use JSON escaping (`\"`, `\\`, `\n`, `\r`, `\t`,
+//!   `\u00XX` for other control characters); the reader is its exact
+//!   inverse and also accepts the remaining JSON escapes.
+//! * **Packed lists** of numbers travel inside one string field as
+//!   comma-separated tokens (`"1.0,2.5"`), pairs as `a:b` tokens.
+//!
+//! [`Line`] appends a record to a `String`; [`Record`] reads one back
+//! without copying: keys and values borrow the line, and a string is
+//! unescaped only when it contains a backslash.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use crate::event::{Event, ExtremumKind, FaultClass, SpanKind};
 
@@ -16,39 +35,11 @@ use crate::event::{Event, ExtremumKind, FaultClass, SpanKind};
 /// 2 = schema header record + causal span events (this version).
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
-/// The header record written as the first line of every trace file,
-/// e.g. `{"type":"schema","version":2}`.
-#[must_use]
-pub fn schema_header() -> String {
-    format!(r#"{{"type":"schema","version":{TRACE_SCHEMA_VERSION}}}"#)
-}
+/// Largest integer a single numeric field carries exactly (2^53): every
+/// number is read through `f64`.
+const MAX_EXACT_INT: u64 = 1 << 53;
 
-/// Validates a trace file's header line.
-///
-/// # Errors
-///
-/// Fails when `line` is not a schema record (headerless v1 files and
-/// arbitrary JSONL both land here) or declares a version other than
-/// [`TRACE_SCHEMA_VERSION`], so consumers reject stale trace files
-/// instead of misparsing them.
-pub fn check_schema_header(line: &str) -> Result<(), JsonlError> {
-    let fields = parse_flat_object(line)?;
-    let ty = field(&fields, "type")?.as_str("type")?;
-    if ty != "schema" {
-        return Err(JsonlError(format!(
-            "first record is `{ty}`, not a schema header (stale or truncated trace file?)"
-        )));
-    }
-    let version = field(&fields, "version")?.as_u32("version")?;
-    if version != TRACE_SCHEMA_VERSION {
-        return Err(JsonlError(format!(
-            "unsupported trace schema version {version} (this build reads {TRACE_SCHEMA_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
-/// Error produced when a JSONL line cannot be parsed back to an event.
+/// Error produced when a JSONL line cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonlError(pub String);
 
@@ -60,368 +51,623 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-fn fmt_f64(v: f64) -> String {
+fn err<T>(msg: String) -> Result<T, JsonlError> {
+    Err(JsonlError(msg))
+}
+
+// ---------------------------------------------------------------------
+// Scalars
+// ---------------------------------------------------------------------
+
+fn push_num(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if v == f64::INFINITY {
-        "inf".to_string()
+        out.push_str("inf");
     } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
+        out.push_str("-inf");
     } else {
-        format!("{v:?}")
+        let _ = write!(out, "{v:?}");
     }
 }
 
-/// Formats a number using this module's float conventions: Rust's `{:?}`
-/// (shortest representation that round-trips exactly) plus the `NaN`,
-/// `inf`, and `-inf` extension tokens for non-finite values.
-///
-/// Exposed so other crates' flat-JSONL codecs (checkpoint shards,
-/// postmortem config records) stay byte-compatible with the trace
-/// format and decode back bit-exactly through [`parse_scalars`].
+fn parse_num(tok: &str) -> Option<f64> {
+    match tok {
+        "NaN" => Some(f64::NAN),
+        "inf" => Some(f64::INFINITY),
+        "-inf" => Some(f64::NEG_INFINITY),
+        _ => tok.parse().ok(),
+    }
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Escapes `s` for embedding between JSON string quotes; [`Record`]'s
+/// string getter is its inverse.
 #[must_use]
-pub fn fmt_num(v: f64) -> String {
-    fmt_f64(v)
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn unescape(raw: &str) -> Result<String, JsonlError> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        let e = chars.next().ok_or_else(|| JsonlError("dangling `\\` in string".into()))?;
+        out.push(match e {
+            '"' => '"',
+            '\\' => '\\',
+            '/' => '/',
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'b' => '\u{8}',
+            'f' => '\u{c}',
+            'u' => {
+                let hex: String = chars.by_ref().take(4).collect();
+                u32::from_str_radix(&hex, 16)
+                    .ok()
+                    .filter(|_| hex.len() == 4)
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| JsonlError(format!("bad escape `\\u{hex}`")))?
+            }
+            other => return err(format!("bad escape `\\{other}`")),
+        });
+    }
+    Ok(out)
+}
+
+/// A number that travels inside a packed-list field ([`Line::list`],
+/// [`Record::list`]): `f64` with the float conventions, `u64` as a plain
+/// decimal integer (full range: packed tokens skip the f64 funnel).
+pub trait Packed: Copy + Sized {
+    /// Appends the token.
+    fn put(self, out: &mut String);
+    /// Parses one token.
+    fn take(tok: &str) -> Option<Self>;
+}
+
+impl Packed for f64 {
+    fn put(self, out: &mut String) {
+        push_num(out, self);
+    }
+    fn take(tok: &str) -> Option<Self> {
+        parse_num(tok)
+    }
+}
+
+impl Packed for u64 {
+    fn put(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn take(tok: &str) -> Option<Self> {
+        tok.parse().ok()
+    }
+}
+
+/// A pair travels as one `a:b` token.
+impl<A: Packed, B: Packed> Packed for (A, B) {
+    fn put(self, out: &mut String) {
+        self.0.put(out);
+        out.push(':');
+        self.1.put(out);
+    }
+    fn take(tok: &str) -> Option<Self> {
+        let (a, b) = tok.split_once(':')?;
+        Some((A::take(a)?, B::take(b)?))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------
+
+/// Appends one flat record to a `String`: [`Line::new`] writes the
+/// `{"type":…` head, each field method one `,"key":value` pair (keys are
+/// written verbatim, so they must be plain identifiers), and
+/// [`Line::end`]/[`Line::end_line`] close it.
+#[must_use = "a record is only closed by `end` or `end_line`"]
+pub struct Line<'o> {
+    out: &'o mut String,
+}
+
+impl<'o> Line<'o> {
+    /// Starts a record of kind `ty`.
+    pub fn new(out: &'o mut String, ty: &str) -> Self {
+        out.push_str(r#"{"type":""#);
+        escape_into(out, ty);
+        out.push('"');
+        Self { out }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    /// A float field.
+    pub fn num(mut self, key: &str, v: f64) -> Self {
+        self.key(key);
+        push_num(self.out, v);
+        self
+    }
+
+    /// An integer field (readers accept at most 2^53).
+    pub fn uint(mut self, key: &str, v: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(mut self, key: &str, v: bool) -> Self {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// A string field, escaped.
+    pub fn str(mut self, key: &str, v: &str) -> Self {
+        self.key(key);
+        self.out.push('"');
+        escape_into(self.out, v);
+        self.out.push('"');
+        self
+    }
+
+    /// A full-range `u64` as two 32-bit halves, `<key>_hi` and
+    /// `<key>_lo` (read back by [`Record::split_u64`]).
+    pub fn split_u64(self, key: &str, v: u64) -> Self {
+        let _ = write!(self.out, r#","{key}_hi":{},"{key}_lo":{}"#, v >> 32, v & 0xffff_ffff);
+        self
+    }
+
+    /// A packed list: `"key":"a,b,…"` (pairs as `a:b` tokens).
+    pub fn list<T: Packed>(mut self, key: &str, vals: impl IntoIterator<Item = T>) -> Self {
+        self.key(key);
+        self.out.push('"');
+        for (i, v) in vals.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            v.put(self.out);
+        }
+        self.out.push('"');
+        self
+    }
+
+    /// Closes the record (no newline).
+    pub fn end(self) {
+        self.out.push('}');
+    }
+
+    /// Closes the record and ends the line.
+    pub fn end_line(self) {
+        self.out.push_str("}\n");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Value<'a> {
+    Num(f64),
+    /// The raw text between the quotes, escapes still in place.
+    Str(&'a str),
+    Bool(bool),
+}
+
+/// One decoded flat record. Keys and string values borrow the line; the
+/// typed getters name the key in their errors.
+#[derive(Debug)]
+pub struct Record<'a> {
+    fields: Vec<(&'a str, Value<'a>)>,
+}
+
+/// Splits a quoted string's body off `s` (which starts just past the
+/// opening quote): returns the raw body and the text after the closing
+/// quote.
+fn quoted(s: &str) -> Option<(&str, &str)> {
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => return Some((&s[..i], &s[i + 1..])),
+            b'\\' => i += 2,
+            _ => i += 1,
+        }
+    }
+    None
+}
+
+impl<'a> Record<'a> {
+    /// Parses one flat object: `"key": scalar` pairs, scalars being
+    /// numbers (with the `NaN`/`inf`/`-inf` tokens), strings, or
+    /// booleans.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the line is not a flat JSON object of scalar fields.
+    pub fn parse(line: &'a str) -> Result<Self, JsonlError> {
+        let inner = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
+        let mut fields = Vec::with_capacity(16);
+        let mut rest = inner.trim();
+        while !rest.is_empty() {
+            let (key, tail) = rest
+                .strip_prefix('"')
+                .and_then(quoted)
+                .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
+            rest = tail
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
+                .trim_start();
+            let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
+                let (s, tail) =
+                    quoted(r).ok_or_else(|| JsonlError("unterminated string value".into()))?;
+                (Value::Str(s), tail)
+            } else {
+                let end = rest.find(',').unwrap_or(rest.len());
+                let token = rest[..end].trim();
+                let v = match token {
+                    "true" => Value::Bool(true),
+                    "false" => Value::Bool(false),
+                    _ => Value::Num(
+                        parse_num(token)
+                            .ok_or_else(|| JsonlError(format!("bad number `{token}` in {key}")))?,
+                    ),
+                };
+                (v, &rest[end..])
+            };
+            fields.push((key, value));
+            rest = tail.trim_start();
+            if let Some(r) = rest.strip_prefix(',') {
+                rest = r.trim_start();
+            } else if !rest.is_empty() {
+                return err(format!("unexpected trailing content `{rest}`"));
+            }
+        }
+        Ok(Self { fields })
+    }
+
+    /// Parses the next line of a record stream and checks that it is a
+    /// `ty` record.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `lines` is exhausted, the line does not parse, or it
+    /// holds another kind of record.
+    pub fn next<I: Iterator<Item = &'a str>>(lines: &mut I, ty: &str) -> Result<Self, JsonlError> {
+        let line = lines
+            .next()
+            .ok_or_else(|| JsonlError(format!("truncated input: expected `{ty}` record")))?;
+        let r = Self::parse(line)?;
+        r.expect_type(ty)?;
+        Ok(r)
+    }
+
+    /// Checks the record's `type`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing or names another record type.
+    pub fn expect_type(&self, want: &str) -> Result<(), JsonlError> {
+        let ty = self.str("type")?;
+        if ty == want {
+            Ok(())
+        } else {
+            err(format!("expected `{want}` record, found `{ty}`"))
+        }
+    }
+
+    /// Rejects any field not named in `known`; `what` names the record
+    /// in the error.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first unknown field.
+    pub fn reject_unknown(&self, known: &[&str], what: &str) -> Result<(), JsonlError> {
+        match self.fields.iter().find(|(k, _)| !known.contains(k)) {
+            Some((k, _)) => err(format!("unknown {what} field `{k}`")),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether the record has a `key` field.
+    #[must_use]
+    pub fn has(&self, key: &str) -> bool {
+        self.fields.iter().any(|(k, _)| *k == key)
+    }
+
+    fn get(&self, key: &str) -> Result<Value<'a>, JsonlError> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
+    }
+
+    /// A float field.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing or not a number.
+    pub fn f64(&self, key: &str) -> Result<f64, JsonlError> {
+        match self.get(key)? {
+            Value::Num(v) => Ok(v),
+            _ => err(format!("field `{key}` is not a number")),
+        }
+    }
+
+    /// An integer field in `0..=2^53`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing, not an integer, negative, or
+    /// above 2^53.
+    pub fn u64(&self, key: &str) -> Result<u64, JsonlError> {
+        let v = self.f64(key)?;
+        if v.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&v) {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Ok(v as u64)
+        } else {
+            err(format!("field `{key}` is not an integer in 0..=2^53: {v}"))
+        }
+    }
+
+    /// A `u32` field.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing or not an integer in `u32` range.
+    pub fn u32(&self, key: &str) -> Result<u32, JsonlError> {
+        let v = self.u64(key)?;
+        u32::try_from(v).map_err(|_| JsonlError(format!("field `{key}` is not a u32: {v}")))
+    }
+
+    /// A boolean field.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing or not a boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, JsonlError> {
+        match self.get(key)? {
+            Value::Bool(b) => Ok(b),
+            _ => err(format!("field `{key}` is not a bool")),
+        }
+    }
+
+    /// A string field, borrowed unless it holds an escape.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing, not a string, or holds a bad
+    /// escape.
+    pub fn str(&self, key: &str) -> Result<Cow<'a, str>, JsonlError> {
+        match self.get(key)? {
+            Value::Str(raw) if raw.contains('\\') => unescape(raw).map(Cow::Owned),
+            Value::Str(raw) => Ok(Cow::Borrowed(raw)),
+            _ => err(format!("field `{key}` is not a string")),
+        }
+    }
+
+    /// A `u64` written by [`Line::split_u64`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when either half is missing or wider than 32 bits.
+    pub fn split_u64(&self, key: &str) -> Result<u64, JsonlError> {
+        let half = |suffix: &str| {
+            let k = format!("{key}{suffix}");
+            let v = self.u64(&k)?;
+            if v > u64::from(u32::MAX) {
+                return err(format!("field `{k}` is wider than 32 bits: {v}"));
+            }
+            Ok(v)
+        };
+        Ok((half("_hi")? << 32) | half("_lo")?)
+    }
+
+    /// A packed list written by [`Line::list`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is missing, not a string, or a token does
+    /// not parse.
+    pub fn list<T: Packed>(&self, key: &str) -> Result<Vec<T>, JsonlError> {
+        let Value::Str(raw) = self.get(key)? else {
+            return err(format!("field `{key}` is not a packed list"));
+        };
+        if raw.is_empty() {
+            return Ok(Vec::new());
+        }
+        raw.split(',')
+            .map(|tok| {
+                T::take(tok).ok_or_else(|| JsonlError(format!("bad token `{tok}` in {key}")))
+            })
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Schema header and trace events
+// ---------------------------------------------------------------------
+
+/// The header record written as the first line of every trace file,
+/// e.g. `{"type":"schema","version":2}`.
+#[must_use]
+pub fn schema_header() -> String {
+    let mut s = String::with_capacity(32);
+    Line::new(&mut s, "schema").uint("version", u64::from(TRACE_SCHEMA_VERSION)).end();
+    s
+}
+
+/// Validates a trace file's header line.
+///
+/// # Errors
+///
+/// Fails when `line` is not a schema record (headerless v1 files and
+/// arbitrary JSONL both land here) or declares a version other than
+/// [`TRACE_SCHEMA_VERSION`], so consumers reject stale trace files
+/// instead of misparsing them.
+pub fn check_schema_header(line: &str) -> Result<(), JsonlError> {
+    let r = Record::parse(line)?;
+    let ty = r.str("type")?;
+    if ty != "schema" {
+        return err(format!(
+            "first record is `{ty}`, not a schema header (stale or truncated trace file?)"
+        ));
+    }
+    let version = r.u32("version")?;
+    if version != TRACE_SCHEMA_VERSION {
+        return err(format!(
+            "unsupported trace schema version {version} (this build reads {TRACE_SCHEMA_VERSION})"
+        ));
+    }
+    Ok(())
+}
+
+/// Appends one event as a record (no newline).
+pub fn write_event(out: &mut String, e: &Event) {
+    let l = Line::new(out, e.type_name());
+    match *e {
+        Event::SolverStepAccepted { t, h, err } => l.num("t", t).num("h", h).num("err", err),
+        Event::SolverStepRejected { t, h } => l.num("t", t).num("h", h),
+        Event::SwitchCrossingLocated { t, iterations } => {
+            l.num("t", t).uint("iterations", u64::from(iterations))
+        }
+        Event::RegionSwitch { t, from, to } => {
+            l.num("t", t).uint("from", u64::from(from)).uint("to", u64::from(to))
+        }
+        Event::QueueThresholdCrossed { t, q, threshold, rising } => {
+            l.num("t", t).num("q", q).num("threshold", threshold).bool("rising", rising)
+        }
+        Event::QueueExtremum { t, q, kind } => l.num("t", t).num("q", q).str(
+            "kind",
+            match kind {
+                ExtremumKind::Max => "max",
+                ExtremumKind::Min => "min",
+            },
+        ),
+        Event::BcnMessageEmitted { t, fb, source } | Event::QcnMessageEmitted { t, fb, source } => {
+            l.num("t", t).num("fb", fb).uint("source", u64::from(source))
+        }
+        Event::PauseAsserted { t, port }
+        | Event::PauseDeasserted { t, port }
+        | Event::FrameDropped { t, port } => l.num("t", t).uint("port", u64::from(port)),
+        Event::FaultInjected { t, class, target } => {
+            l.num("t", t).str("class", class.name()).uint("target", u64::from(target))
+        }
+        Event::SpanBegin { t, id, parent, kind, entity } => l
+            .num("t", t)
+            .uint("id", id)
+            .uint("parent", parent)
+            .str("kind", kind.name())
+            .uint("entity", u64::from(entity)),
+        Event::SpanEnd { t, id } => l.num("t", t).uint("id", id),
+    }
+    .end();
 }
 
 /// Serializes one event to a single JSONL line (no trailing newline).
 #[must_use]
 pub fn event_to_jsonl(e: &Event) -> String {
-    let ty = e.type_name();
-    match *e {
-        Event::SolverStepAccepted { t, h, err } => format!(
-            r#"{{"type":"{ty}","t":{},"h":{},"err":{}}}"#,
-            fmt_f64(t),
-            fmt_f64(h),
-            fmt_f64(err)
-        ),
-        Event::SolverStepRejected { t, h } => {
-            format!(r#"{{"type":"{ty}","t":{},"h":{}}}"#, fmt_f64(t), fmt_f64(h))
-        }
-        Event::SwitchCrossingLocated { t, iterations } => {
-            format!(r#"{{"type":"{ty}","t":{},"iterations":{iterations}}}"#, fmt_f64(t))
-        }
-        Event::RegionSwitch { t, from, to } => {
-            format!(r#"{{"type":"{ty}","t":{},"from":{from},"to":{to}}}"#, fmt_f64(t))
-        }
-        Event::QueueThresholdCrossed { t, q, threshold, rising } => format!(
-            r#"{{"type":"{ty}","t":{},"q":{},"threshold":{},"rising":{rising}}}"#,
-            fmt_f64(t),
-            fmt_f64(q),
-            fmt_f64(threshold)
-        ),
-        Event::QueueExtremum { t, q, kind } => format!(
-            r#"{{"type":"{ty}","t":{},"q":{},"kind":"{}"}}"#,
-            fmt_f64(t),
-            fmt_f64(q),
-            match kind {
-                ExtremumKind::Max => "max",
-                ExtremumKind::Min => "min",
-            }
-        ),
-        Event::BcnMessageEmitted { t, fb, source } | Event::QcnMessageEmitted { t, fb, source } => {
-            format!(
-                r#"{{"type":"{ty}","t":{},"fb":{},"source":{source}}}"#,
-                fmt_f64(t),
-                fmt_f64(fb)
-            )
-        }
-        Event::PauseAsserted { t, port }
-        | Event::PauseDeasserted { t, port }
-        | Event::FrameDropped { t, port } => {
-            format!(r#"{{"type":"{ty}","t":{},"port":{port}}}"#, fmt_f64(t))
-        }
-        Event::FaultInjected { t, class, target } => format!(
-            r#"{{"type":"{ty}","t":{},"class":"{}","target":{target}}}"#,
-            fmt_f64(t),
-            class.name()
-        ),
-        Event::SpanBegin { t, id, parent, kind, entity } => format!(
-            r#"{{"type":"{ty}","t":{},"id":{id},"parent":{parent},"kind":"{}","entity":{entity}}}"#,
-            fmt_f64(t),
-            kind.name()
-        ),
-        Event::SpanEnd { t, id } => {
-            format!(r#"{{"type":"{ty}","t":{},"id":{id}}}"#, fmt_f64(t))
-        }
-    }
-}
-
-/// One parsed JSON scalar from a flat object line.
-///
-/// Public so downstream flat-JSONL codecs (checkpoint shards, replay
-/// specs) can reuse [`parse_scalars`] and its typed accessors instead
-/// of re-implementing the number/string/bool conventions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// A number (including the `NaN`/`inf`/`-inf` extension tokens).
-    Num(f64),
-    /// A string without escapes.
-    Str(String),
-    /// A `true`/`false` literal.
-    Bool(bool),
-}
-
-impl Scalar {
-    /// The scalar as a float; `key` names the field in errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scalar is not a number.
-    pub fn as_f64(&self, key: &str) -> Result<f64, JsonlError> {
-        match self {
-            Scalar::Num(v) => Ok(*v),
-            _ => Err(JsonlError(format!("field `{key}` is not a number"))),
-        }
-    }
-
-    /// The scalar as a `u32`; `key` names the field in errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scalar is not an integer in `u32` range.
-    pub fn as_u32(&self, key: &str) -> Result<u32, JsonlError> {
-        let v = self.as_f64(key)?;
-        if v.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&v) {
-            Ok(v as u32)
-        } else {
-            Err(JsonlError(format!("field `{key}` is not a u32: {v}")))
-        }
-    }
-
-    /// The scalar as a `u64`; `key` names the field in errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scalar is not an integer, is negative, or exceeds
-    /// 2^53 (the largest range that survives the f64 funnel).
-    pub fn as_u64(&self, key: &str) -> Result<u64, JsonlError> {
-        let v = self.as_f64(key)?;
-        // 2^53: the largest range in which every integer survives the
-        // f64 round trip the flat parser funnels numbers through.
-        if v.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&v) {
-            Ok(v as u64)
-        } else {
-            Err(JsonlError(format!("field `{key}` is not a u64 below 2^53: {v}")))
-        }
-    }
-
-    /// The scalar as a bool; `key` names the field in errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scalar is not a boolean.
-    pub fn as_bool(&self, key: &str) -> Result<bool, JsonlError> {
-        match self {
-            Scalar::Bool(b) => Ok(*b),
-            _ => Err(JsonlError(format!("field `{key}` is not a bool"))),
-        }
-    }
-
-    /// The scalar as a string slice; `key` names the field in errors.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scalar is not a string.
-    pub fn as_str(&self, key: &str) -> Result<&str, JsonlError> {
-        match self {
-            Scalar::Str(s) => Ok(s),
-            _ => Err(JsonlError(format!("field `{key}` is not a string"))),
-        }
-    }
-}
-
-/// Minimal parser for the flat objects this module emits: one level of
-/// `"key": scalar` pairs, scalars being numbers (with `NaN`/`inf`
-/// extensions), strings without escapes, or booleans.
-///
-/// # Errors
-///
-/// Fails when the line is not a flat JSON object of scalar fields.
-pub fn parse_scalars(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    parse_flat_object(line)
-}
-
-/// Looks `key` up in a record parsed by [`parse_scalars`].
-///
-/// # Errors
-///
-/// Fails when the record has no such field.
-pub fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, JsonlError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
-}
-
-/// Parses the next line of a record stream; `what` names the expected
-/// record in the truncation error.
-///
-/// # Errors
-///
-/// Fails when `lines` is exhausted or the line is not a flat object.
-pub fn next_record<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    what: &str,
-) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    let line =
-        lines.next().ok_or_else(|| JsonlError(format!("truncated input: expected {what}")))?;
-    parse_scalars(line)
-}
-
-/// Checks a parsed record's `type` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or names another record type.
-pub fn expect_type(fields: &[(String, Scalar)], want: &str) -> Result<(), JsonlError> {
-    let ty = field(fields, "type")?.as_str("type")?;
-    if ty == want {
-        Ok(())
-    } else {
-        Err(JsonlError(format!("expected `{want}` record, found `{ty}`")))
-    }
-}
-
-/// Parses a bare number token with the codec's conventions (`NaN`,
-/// `inf`, `-inf`, else shortest-round-trip decimal), for numbers packed
-/// inside string fields; `what` names the field in errors.
-///
-/// # Errors
-///
-/// Fails when `tok` is not a number.
-pub fn parse_num(tok: &str, what: &str) -> Result<f64, JsonlError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        _ => tok.parse::<f64>().map_err(|_| JsonlError(format!("bad number `{tok}` in {what}"))),
-    }
-}
-
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
-        let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
-        let key = rest[..kq].to_string();
-        rest = rest[kq + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
-            .trim_start();
-        // Scalar.
-        let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
-            let vq = r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
-            (Scalar::Str(r[..vq].to_string()), &r[vq + 1..])
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            let v = match token {
-                "true" => Scalar::Bool(true),
-                "false" => Scalar::Bool(false),
-                _ => Scalar::Num(parse_num(token, &key)?),
-            };
-            (v, &rest[end..])
-        };
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
-        }
-    }
-    Ok(fields)
+    let mut s = String::with_capacity(96);
+    write_event(&mut s, e);
+    s
 }
 
 /// Parses one JSONL line back into an [`Event`].
+///
+/// # Errors
+///
+/// Fails on a malformed line, an unknown event type, or a missing or
+/// mistyped field.
 pub fn event_from_jsonl(line: &str) -> Result<Event, JsonlError> {
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&Scalar, JsonlError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
-    };
-    let ty = get("type")?.as_str("type")?.to_string();
-    let t = get("t")?.as_f64("t")?;
-    match ty.as_str() {
-        "solver_step_accepted" => Ok(Event::SolverStepAccepted {
+    let r = Record::parse(line)?;
+    let ty = r.str("type")?;
+    let t = r.f64("t")?;
+    Ok(match &*ty {
+        "solver_step_accepted" => {
+            Event::SolverStepAccepted { t, h: r.f64("h")?, err: r.f64("err")? }
+        }
+        "solver_step_rejected" => Event::SolverStepRejected { t, h: r.f64("h")? },
+        "switch_crossing_located" => {
+            Event::SwitchCrossingLocated { t, iterations: r.u32("iterations")? }
+        }
+        "region_switch" => Event::RegionSwitch { t, from: r.u32("from")?, to: r.u32("to")? },
+        "queue_threshold_crossed" => Event::QueueThresholdCrossed {
             t,
-            h: get("h")?.as_f64("h")?,
-            err: get("err")?.as_f64("err")?,
-        }),
-        "solver_step_rejected" => Ok(Event::SolverStepRejected { t, h: get("h")?.as_f64("h")? }),
-        "switch_crossing_located" => Ok(Event::SwitchCrossingLocated {
+            q: r.f64("q")?,
+            threshold: r.f64("threshold")?,
+            rising: r.bool("rising")?,
+        },
+        "queue_extremum" => Event::QueueExtremum {
             t,
-            iterations: get("iterations")?.as_u32("iterations")?,
-        }),
-        "region_switch" => Ok(Event::RegionSwitch {
-            t,
-            from: get("from")?.as_u32("from")?,
-            to: get("to")?.as_u32("to")?,
-        }),
-        "queue_threshold_crossed" => Ok(Event::QueueThresholdCrossed {
-            t,
-            q: get("q")?.as_f64("q")?,
-            threshold: get("threshold")?.as_f64("threshold")?,
-            rising: get("rising")?.as_bool("rising")?,
-        }),
-        "queue_extremum" => Ok(Event::QueueExtremum {
-            t,
-            q: get("q")?.as_f64("q")?,
-            kind: match get("kind")?.as_str("kind")? {
+            q: r.f64("q")?,
+            kind: match &*r.str("kind")? {
                 "max" => ExtremumKind::Max,
                 "min" => ExtremumKind::Min,
-                other => return Err(JsonlError(format!("unknown extremum kind `{other}`"))),
+                other => return err(format!("unknown extremum kind `{other}`")),
             },
-        }),
-        "bcn_message_emitted" => Ok(Event::BcnMessageEmitted {
-            t,
-            fb: get("fb")?.as_f64("fb")?,
-            source: get("source")?.as_u32("source")?,
-        }),
-        "qcn_message_emitted" => Ok(Event::QcnMessageEmitted {
-            t,
-            fb: get("fb")?.as_f64("fb")?,
-            source: get("source")?.as_u32("source")?,
-        }),
-        "pause_asserted" => Ok(Event::PauseAsserted { t, port: get("port")?.as_u32("port")? }),
-        "pause_deasserted" => Ok(Event::PauseDeasserted { t, port: get("port")?.as_u32("port")? }),
-        "frame_dropped" => Ok(Event::FrameDropped { t, port: get("port")?.as_u32("port")? }),
+        },
+        "bcn_message_emitted" => {
+            Event::BcnMessageEmitted { t, fb: r.f64("fb")?, source: r.u32("source")? }
+        }
+        "qcn_message_emitted" => {
+            Event::QcnMessageEmitted { t, fb: r.f64("fb")?, source: r.u32("source")? }
+        }
+        "pause_asserted" => Event::PauseAsserted { t, port: r.u32("port")? },
+        "pause_deasserted" => Event::PauseDeasserted { t, port: r.u32("port")? },
+        "frame_dropped" => Event::FrameDropped { t, port: r.u32("port")? },
         "fault_injected" => {
-            let name = get("class")?.as_str("class")?;
-            let class = FaultClass::from_name(name)
+            let name = r.str("class")?;
+            let class = FaultClass::from_name(&name)
                 .ok_or_else(|| JsonlError(format!("unknown fault class `{name}`")))?;
-            Ok(Event::FaultInjected { t, class, target: get("target")?.as_u32("target")? })
+            Event::FaultInjected { t, class, target: r.u32("target")? }
         }
         "span_begin" => {
-            let name = get("kind")?.as_str("kind")?;
-            let kind = SpanKind::from_name(name)
+            let name = r.str("kind")?;
+            let kind = SpanKind::from_name(&name)
                 .ok_or_else(|| JsonlError(format!("unknown span kind `{name}`")))?;
-            Ok(Event::SpanBegin {
+            Event::SpanBegin {
                 t,
-                id: get("id")?.as_u64("id")?,
-                parent: get("parent")?.as_u64("parent")?,
+                id: r.u64("id")?,
+                parent: r.u64("parent")?,
                 kind,
-                entity: get("entity")?.as_u32("entity")?,
-            })
+                entity: r.u32("entity")?,
+            }
         }
-        "span_end" => Ok(Event::SpanEnd { t, id: get("id")?.as_u64("id")? }),
-        other => Err(JsonlError(format!("unknown event type `{other}`"))),
-    }
+        "span_end" => Event::SpanEnd { t, id: r.u64("id")? },
+        other => return err(format!("unknown event type `{other}`")),
+    })
 }
 
 #[cfg(test)]
@@ -537,5 +783,67 @@ mod tests {
             let back = event_from_jsonl(&event_to_jsonl(&e)).unwrap();
             assert_eq!(back, e);
         }
+    }
+
+    #[test]
+    fn strings_escape_and_unescape_exactly() {
+        for s in ["plain", "", "a\"b", "back\\slash", "line\nbreak\r\ttab", "\u{1}\u{1f}", "ünï"]
+        {
+            let mut line = String::new();
+            Line::new(&mut line, "t").str("s", s).end();
+            let r = Record::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(r.str("s").unwrap(), s, "line: {line}");
+            assert_eq!(json_escape(s), line[r#"{"type":"t","s":""#.len()..line.len() - 2]);
+        }
+        let r = Record::parse(r#"{"s":"\/\b\fé"}"#).unwrap();
+        assert_eq!(r.str("s").unwrap(), "/\u{8}\u{c}é");
+        for bad in [r#"{"s":"\q"}"#, r#"{"s":"\u12"}"#, r#"{"s":"\ud800"}"#] {
+            assert!(Record::parse(bad).unwrap().str("s").is_err(), "accepted: {bad}");
+        }
+        assert!(Record::parse(r#"{"s":"open\"}"#).is_err());
+    }
+
+    #[test]
+    fn split_integers_and_packed_lists_round_trip() {
+        let mut line = String::new();
+        Line::new(&mut line, "t")
+            .split_u64("seed", u64::MAX - 5)
+            .list("xs", [0.5, f64::NAN, -0.0])
+            .list("ns", [u64::MAX, 0])
+            .list::<f64>("none", [])
+            .list("ps", [(3u64, 9u64)])
+            .end();
+        let r = Record::parse(&line).unwrap();
+        assert_eq!(r.split_u64("seed").unwrap(), u64::MAX - 5);
+        let xs: Vec<f64> = r.list("xs").unwrap();
+        assert_eq!(xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()[2], (-0.0f64).to_bits());
+        assert!(xs[1].is_nan());
+        assert_eq!(r.list::<u64>("ns").unwrap(), [u64::MAX, 0]);
+        assert!(r.list::<f64>("none").unwrap().is_empty());
+        assert_eq!(r.list::<(u64, u64)>("ps").unwrap(), [(3, 9)]);
+        assert!(r.list::<u64>("xs").is_err());
+        assert!(r.list::<(u64, u64)>("ns").is_err());
+        let wide = r#"{"seed_hi":4294967296,"seed_lo":0}"#;
+        assert!(Record::parse(wide).unwrap().split_u64("seed").is_err());
+    }
+
+    #[test]
+    fn integer_getters_enforce_their_ranges() {
+        let r =
+            Record::parse(r#"{"a":9007199254740992,"b":9007199254740994,"c":4294967296}"#).unwrap();
+        assert_eq!(r.u64("a").unwrap(), MAX_EXACT_INT);
+        assert!(r.u64("b").is_err());
+        assert!(r.u32("c").is_err());
+        let err = r.u64("missing").unwrap_err();
+        assert!(err.0.contains("`missing`"), "{err}");
+    }
+
+    #[test]
+    fn unknown_fields_are_named() {
+        let r = Record::parse(r#"{"type":"q","a":1,"zz":2}"#).unwrap();
+        assert!(r.reject_unknown(&["type", "a", "zz"], "q").is_ok());
+        assert_eq!(r.reject_unknown(&["type", "a"], "q").unwrap_err().0, "unknown q field `zz`");
+        r.expect_type("q").unwrap();
+        assert!(r.expect_type("p").is_err());
     }
 }

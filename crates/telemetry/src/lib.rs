@@ -42,14 +42,14 @@ mod trace;
 pub use event::{Event, ExtremumKind, FaultClass, SpanKind};
 pub use histogram::Histogram;
 pub use jsonl::{
-    check_schema_header, event_from_jsonl, event_to_jsonl, expect_type, field, fmt_num,
-    next_record, parse_num, parse_scalars, schema_header, JsonlError, Scalar, TRACE_SCHEMA_VERSION,
+    check_schema_header, event_from_jsonl, event_to_jsonl, json_escape, schema_header, write_event,
+    JsonlError, Line, Packed, Record, TRACE_SCHEMA_VERSION,
 };
 pub use level::TelemetryLevel;
 pub use logging::{quiet, set_quiet};
 pub use metrics::{CounterId, Gauge, GaugeId, HistogramId, Registry};
 pub use series::{SeriesBank, SeriesKind, TimeSeries, SERIES_CAPACITY};
-pub use snapshot::{snapshot_from_jsonl, snapshot_to_jsonl};
+pub use snapshot::{open_span_to_jsonl, snapshot_from_jsonl, snapshot_to_jsonl};
 pub use trace::{EventTrace, DEFAULT_TRACE_CAPACITY};
 
 /// An open (begun but not yet ended) causal span.

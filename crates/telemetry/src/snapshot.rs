@@ -7,9 +7,9 @@
 //! empty histograms hold `±inf` envelopes, ring traces remember how
 //! many events they discarded, and series carry a stride/offered pair
 //! that only the full (discarded) sample stream could reproduce. This
-//! codec therefore round-trips the raw internal state, using the same
-//! float conventions as the event codec ([`fmt_num`]: shortest
-//! round-trip representation plus `NaN`/`inf`/`-inf` tokens).
+//! codec therefore round-trips the raw internal state through the
+//! flat-record codec (`crate::jsonl`: shortest round-trip floats plus
+//! `NaN`/`inf`/`-inf` tokens).
 //!
 //! The snapshot is a self-delimiting run of JSONL lines — a `telemetry`
 //! header carrying section counts, then that many `counter`, `gauge`,
@@ -22,11 +22,24 @@
 //! bases stay far below that, and the decoder rejects anything bigger
 //! rather than silently rounding.
 
-use crate::jsonl::{expect_type, field, fmt_num, next_record, parse_num, JsonlError};
+use crate::histogram::BUCKETS;
+use crate::jsonl::{write_event, JsonlError, Line, Record};
 use crate::series::TimeSeries;
 use crate::trace::EventTrace;
-use crate::{event_from_jsonl, event_to_jsonl, Gauge, Histogram, SeriesKind, SpanInfo, SpanKind};
+use crate::{event_from_jsonl, Gauge, Histogram, SeriesKind, SpanInfo, SpanKind};
 use crate::{Telemetry, TelemetryLevel};
+
+/// Appends one `open_span` record (newline-terminated): the snapshot's
+/// span-stack entry, also the postmortem dump's.
+pub fn open_span_to_jsonl(out: &mut String, span: &SpanInfo) {
+    Line::new(out, "open_span")
+        .uint("id", span.id)
+        .uint("parent", span.parent)
+        .str("kind", span.kind.name())
+        .uint("entity", u64::from(span.entity))
+        .num("t_begin", span.t_begin)
+        .end_line();
+}
 
 /// Serializes the full state of a telemetry sink as a run of JSONL
 /// lines (each newline-terminated, no schema header), suitable for
@@ -34,86 +47,75 @@ use crate::{Telemetry, TelemetryLevel};
 /// [`snapshot_from_jsonl`].
 #[must_use]
 pub fn snapshot_to_jsonl(tel: &Telemetry) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let n_counters = tel.metrics.counters().count();
-    let n_gauges = tel.metrics.gauges().count();
-    let n_histograms = tel.metrics.histograms().count();
-    let n_series = tel.series.len();
-    let n_spans = tel.open_spans.len();
-    let n_events = tel.trace.len();
-    let _ = writeln!(
-        out,
-        r#"{{"type":"telemetry","level":"{}","trace_capacity":{},"trace_overwritten":{},"next_span_id":{},"counters":{n_counters},"gauges":{n_gauges},"histograms":{n_histograms},"series":{n_series},"open_spans":{n_spans},"events":{n_events}}}"#,
-        tel.level,
-        tel.trace.capacity(),
-        tel.trace.overwritten(),
-        tel.next_span_id,
-    );
+    let n = |v: usize| v as u64;
+    Line::new(&mut out, "telemetry")
+        .str("level", &tel.level.to_string())
+        .uint("trace_capacity", n(tel.trace.capacity()))
+        .uint("trace_overwritten", tel.trace.overwritten())
+        .uint("next_span_id", tel.next_span_id)
+        .uint("counters", n(tel.metrics.counters().count()))
+        .uint("gauges", n(tel.metrics.gauges().count()))
+        .uint("histograms", n(tel.metrics.histograms().count()))
+        .uint("series", n(tel.series.len()))
+        .uint("open_spans", n(tel.open_spans.len()))
+        .uint("events", n(tel.trace.len()))
+        .end_line();
     for (name, v) in tel.metrics.counters() {
-        let _ = writeln!(out, r#"{{"type":"counter","name":"{name}","value":{v}}}"#);
+        Line::new(&mut out, "counter").str("name", name).uint("value", v).end_line();
     }
     for (name, g) in tel.metrics.gauges() {
-        let _ = writeln!(
-            out,
-            r#"{{"type":"gauge","name":"{name}","last":{},"min":{},"max":{},"samples":{}}}"#,
-            fmt_num(g.last),
-            fmt_num(g.min),
-            fmt_num(g.max),
-            g.samples,
-        );
+        Line::new(&mut out, "gauge")
+            .str("name", name)
+            .num("last", g.last)
+            .num("min", g.min)
+            .num("max", g.max)
+            .uint("samples", g.samples)
+            .end_line();
     }
     for (name, h) in tel.metrics.histograms() {
         let (count, sum, min, max, nonpositive, buckets) = h.parts();
-        let mut packed = String::new();
-        for (idx, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
-            if !packed.is_empty() {
-                packed.push(',');
-            }
-            let _ = write!(packed, "{idx}:{n}");
-        }
-        let _ = writeln!(
-            out,
-            r#"{{"type":"histogram","name":"{name}","count":{count},"sum":{},"min":{},"max":{},"nonpositive":{nonpositive},"bucket_len":{},"buckets":"{packed}"}}"#,
-            fmt_num(sum),
-            fmt_num(min),
-            fmt_num(max),
-            buckets.len(),
-        );
+        let nonzero = buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+        Line::new(&mut out, "histogram")
+            .str("name", name)
+            .uint("count", count)
+            .num("sum", sum)
+            .num("min", min)
+            .num("max", max)
+            .uint("nonpositive", nonpositive)
+            .uint("bucket_len", n(buckets.len()))
+            .list("buckets", nonzero.map(|(idx, &c)| (n(idx), c)))
+            .end_line();
     }
     for (kind, entity, s) in tel.series.iter() {
-        let mut packed = String::new();
-        for &(t, v) in s.points() {
-            if !packed.is_empty() {
-                packed.push(',');
-            }
-            let _ = write!(packed, "{}:{}", fmt_num(t), fmt_num(v));
-        }
-        let _ = writeln!(
-            out,
-            r#"{{"type":"series","kind":"{}","entity":{entity},"capacity":{},"stride":{},"offered":{},"points":"{packed}"}}"#,
-            kind.name(),
-            s.capacity(),
-            s.stride(),
-            s.offered(),
-        );
+        Line::new(&mut out, "series")
+            .str("kind", kind.name())
+            .uint("entity", u64::from(entity))
+            .uint("capacity", n(s.capacity()))
+            .uint("stride", s.stride())
+            .uint("offered", s.offered())
+            .list("points", s.points().iter().copied())
+            .end_line();
     }
     for span in &tel.open_spans {
-        let _ = writeln!(
-            out,
-            r#"{{"type":"open_span","id":{},"parent":{},"kind":"{}","entity":{},"t_begin":{}}}"#,
-            span.id,
-            span.parent,
-            span.kind.name(),
-            span.entity,
-            fmt_num(span.t_begin),
-        );
+        open_span_to_jsonl(&mut out, span);
     }
     for e in tel.trace.iter() {
-        out.push_str(&event_to_jsonl(e));
+        write_event(&mut out, e);
         out.push('\n');
     }
     out
+}
+
+/// A decoded value that sizes in-memory state, checked to lie in
+/// `min..=max` before anything is built from it.
+fn bounded(r: &Record<'_>, key: &str, min: u64, max: u64) -> Result<usize, JsonlError> {
+    let v = r.u64(key)?;
+    if (min..=max).contains(&v) {
+        usize::try_from(v).map_err(|_| JsonlError(format!("field `{key}` too large: {v}")))
+    } else {
+        Err(JsonlError(format!("field `{key}` out of range {min}..={max}: {v}")))
+    }
 }
 
 /// Decodes a telemetry snapshot produced by [`snapshot_to_jsonl`],
@@ -130,114 +132,94 @@ pub fn snapshot_to_jsonl(tel: &Telemetry) -> String {
 /// # Errors
 ///
 /// Fails on a truncated run, an unknown record type, or any field that
-/// does not parse back (including integers above 2^53).
+/// does not parse back (including integers above 2^53, a zero trace or
+/// series capacity, and a histogram wider than this build's layout).
 pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<Telemetry, JsonlError> {
-    let header = next_record(lines, "telemetry header")?;
-    expect_type(&header, "telemetry")?;
-    let level: TelemetryLevel =
-        field(&header, "level")?.as_str("level")?.parse().map_err(JsonlError)?;
-    let capacity = field(&header, "trace_capacity")?.as_u64("trace_capacity")? as usize;
-    let overwritten = field(&header, "trace_overwritten")?.as_u64("trace_overwritten")?;
-    let next_span_id = field(&header, "next_span_id")?.as_u64("next_span_id")?;
-    let n_counters = field(&header, "counters")?.as_u64("counters")?;
-    let n_gauges = field(&header, "gauges")?.as_u64("gauges")?;
-    let n_histograms = field(&header, "histograms")?.as_u64("histograms")?;
-    let n_series = field(&header, "series")?.as_u64("series")?;
-    let n_spans = field(&header, "open_spans")?.as_u64("open_spans")?;
-    let n_events = field(&header, "events")?.as_u64("events")?;
+    let header = Record::next(lines, "telemetry")?;
+    let level: TelemetryLevel = header.str("level")?.parse().map_err(JsonlError)?;
+    let capacity = bounded(&header, "trace_capacity", 1, u64::MAX)?;
+    let overwritten = header.u64("trace_overwritten")?;
+    let next_span_id = header.u64("next_span_id")?;
+    let n_counters = header.u64("counters")?;
+    let n_gauges = header.u64("gauges")?;
+    let n_histograms = header.u64("histograms")?;
+    let n_series = header.u64("series")?;
+    let n_spans = header.u64("open_spans")?;
+    let n_events = header.u64("events")?;
 
-    let mut tel = Telemetry::with_trace_capacity(level, capacity);
+    // The ring is replaced below by one of the decoded capacity, which
+    // only bounds growth; the constructor's pre-allocation stays minimal.
+    let mut tel = Telemetry::with_trace_capacity(level, 1);
     // Registering in snapshot order reproduces the original registration
     // order exactly: the core ids laid down by the constructor are a
     // prefix of every snapshot taken by this build, and any custom
     // metrics follow in their first-use order.
     for _ in 0..n_counters {
-        let rec = next_record(lines, "counter")?;
-        expect_type(&rec, "counter")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
-        let v = field(&rec, "value")?.as_u64("value")?;
-        let id = tel.metrics.counter(&name);
-        tel.metrics.set_counter(id, v);
+        let rec = Record::next(lines, "counter")?;
+        let id = tel.metrics.counter(&rec.str("name")?);
+        tel.metrics.set_counter(id, rec.u64("value")?);
     }
     for _ in 0..n_gauges {
-        let rec = next_record(lines, "gauge")?;
-        expect_type(&rec, "gauge")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
+        let rec = Record::next(lines, "gauge")?;
         let g = Gauge {
-            last: field(&rec, "last")?.as_f64("last")?,
-            min: field(&rec, "min")?.as_f64("min")?,
-            max: field(&rec, "max")?.as_f64("max")?,
-            samples: field(&rec, "samples")?.as_u64("samples")?,
+            last: rec.f64("last")?,
+            min: rec.f64("min")?,
+            max: rec.f64("max")?,
+            samples: rec.u64("samples")?,
         };
-        let id = tel.metrics.gauge(&name);
+        let id = tel.metrics.gauge(&rec.str("name")?);
         tel.metrics.restore_gauge(id, g);
     }
     for _ in 0..n_histograms {
-        let rec = next_record(lines, "histogram")?;
-        expect_type(&rec, "histogram")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
-        let bucket_len = field(&rec, "bucket_len")?.as_u64("bucket_len")? as usize;
-        let mut buckets = vec![0u64; bucket_len];
-        let packed = field(&rec, "buckets")?.as_str("buckets")?;
-        for pair in packed.split(',').filter(|p| !p.is_empty()) {
-            let (idx, n) = pair
-                .split_once(':')
-                .ok_or_else(|| JsonlError(format!("bad bucket pair `{pair}`")))?;
-            let idx: usize =
-                idx.parse().map_err(|_| JsonlError(format!("bad bucket index `{idx}`")))?;
-            let n: u64 = n.parse().map_err(|_| JsonlError(format!("bad bucket count `{n}`")))?;
-            *buckets
-                .get_mut(idx)
+        let rec = Record::next(lines, "histogram")?;
+        let mut buckets = vec![0u64; bounded(&rec, "bucket_len", 0, BUCKETS as u64)?];
+        for (idx, n) in rec.list::<(u64, u64)>("buckets")? {
+            *usize::try_from(idx)
+                .ok()
+                .and_then(|i| buckets.get_mut(i))
                 .ok_or_else(|| JsonlError(format!("bucket index {idx} out of range")))? = n;
         }
         let h = Histogram::from_parts(
-            field(&rec, "count")?.as_u64("count")?,
-            field(&rec, "sum")?.as_f64("sum")?,
-            field(&rec, "min")?.as_f64("min")?,
-            field(&rec, "max")?.as_f64("max")?,
-            field(&rec, "nonpositive")?.as_u64("nonpositive")?,
+            rec.u64("count")?,
+            rec.f64("sum")?,
+            rec.f64("min")?,
+            rec.f64("max")?,
+            rec.u64("nonpositive")?,
             buckets,
         );
-        let id = tel.metrics.histogram(&name);
+        let id = tel.metrics.histogram(&rec.str("name")?);
         tel.metrics.restore_histogram(id, h);
     }
     for _ in 0..n_series {
-        let rec = next_record(lines, "series")?;
-        expect_type(&rec, "series")?;
-        let kind_name = field(&rec, "kind")?.as_str("kind")?;
-        let kind = SeriesKind::from_name(kind_name)
+        let rec = Record::next(lines, "series")?;
+        let kind_name = rec.str("kind")?;
+        let kind = SeriesKind::from_name(&kind_name)
             .ok_or_else(|| JsonlError(format!("unknown series kind `{kind_name}`")))?;
-        let entity = field(&rec, "entity")?.as_u32("entity")?;
-        let mut points = Vec::new();
-        let packed = field(&rec, "points")?.as_str("points")?;
-        for pair in packed.split(',').filter(|p| !p.is_empty()) {
-            let (t, v) = pair
-                .split_once(':')
-                .ok_or_else(|| JsonlError(format!("bad series point `{pair}`")))?;
-            points.push((parse_num(t, "series time")?, parse_num(v, "series value")?));
+        let points = rec.list::<(f64, f64)>("points")?;
+        let series_capacity = bounded(&rec, "capacity", 2, u64::MAX)?;
+        if points.len() > series_capacity {
+            return Err(JsonlError(format!(
+                "series holds {} points, above its capacity {series_capacity}",
+                points.len()
+            )));
         }
-        let series = TimeSeries::from_parts(
-            field(&rec, "capacity")?.as_u64("capacity")? as usize,
-            field(&rec, "stride")?.as_u64("stride")?,
-            field(&rec, "offered")?.as_u64("offered")?,
-            points,
-        );
-        tel.series.insert(kind, entity, series);
+        let stride = bounded(&rec, "stride", 1, u64::MAX)? as u64;
+        let series = TimeSeries::from_parts(series_capacity, stride, rec.u64("offered")?, points);
+        tel.series.insert(kind, rec.u32("entity")?, series);
     }
     for _ in 0..n_spans {
-        let rec = next_record(lines, "open_span")?;
-        expect_type(&rec, "open_span")?;
-        let kind_name = field(&rec, "kind")?.as_str("kind")?;
-        let kind = SpanKind::from_name(kind_name)
+        let rec = Record::next(lines, "open_span")?;
+        let kind_name = rec.str("kind")?;
+        let kind = SpanKind::from_name(&kind_name)
             .ok_or_else(|| JsonlError(format!("unknown span kind `{kind_name}`")))?;
         tel.open_spans.push(SpanInfo {
-            id: field(&rec, "id")?.as_u64("id")?,
-            parent: field(&rec, "parent")?.as_u64("parent")?,
+            id: rec.u64("id")?,
+            parent: rec.u64("parent")?,
             kind,
-            entity: field(&rec, "entity")?.as_u32("entity")?,
-            t_begin: field(&rec, "t_begin")?.as_f64("t_begin")?,
+            entity: rec.u32("entity")?,
+            t_begin: rec.f64("t_begin")?,
         });
     }
     let mut trace = EventTrace::with_capacity(capacity);

@@ -195,6 +195,13 @@ out=$(./target/release/dcebcn batch $kr_flags --checkpoint-dir "$kr_dir/ckpt" \
   --resume --out "$kr_dir/resumed2.csv")
 echo "$out" | grep -q "supervision: 48 seed(s) restored from checkpoint"
 cmp "$kr_dir/clean.csv" "$kr_dir/resumed2.csv"
+# A shard whose count field was forged cannot be decoded: resume must
+# still exit 0, re-run just that seed, and render the identical artifact.
+sed -i 's/"sources":[0-9]*/"sources":9007199254740992/' "$kr_dir/ckpt/seed-5.jsonl"
+out=$(./target/release/dcebcn batch $kr_flags --checkpoint-dir "$kr_dir/ckpt" \
+  --resume --out "$kr_dir/resumed3.csv")
+echo "$out" | grep -q "supervision: 47 seed(s) restored from checkpoint"
+cmp "$kr_dir/clean.csv" "$kr_dir/resumed3.csv"
 
 echo "== fabric kill-and-resume smoke (SIGKILL mid-batch, byte-identical artifact) =="
 # The same crash contract on the multi-hop engine: a compiled
@@ -230,6 +237,16 @@ code=0
 ./target/release/dcebcn replay "$pm_dir/tampered.jsonl" >/dev/null 2>&1 || code=$?
 if [ "$code" != "11" ]; then
   echo "tampered replay exited with code $code, expected 11" >&2
+  exit 1
+fi
+# A forged flow count must be a typed decode error (exit 3), not an
+# allocation abort.
+sed 's/"flows":[0-9]*/"flows":9007199254740992/' "$pm_dir/postmortem-3.jsonl" \
+  > "$pm_dir/oversized.jsonl"
+code=0
+./target/release/dcebcn replay "$pm_dir/oversized.jsonl" >/dev/null 2>&1 || code=$?
+if [ "$code" != "3" ]; then
+  echo "oversized-count replay exited with code $code, expected 3" >&2
   exit 1
 fi
 

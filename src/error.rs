@@ -214,6 +214,25 @@ mod tests {
     }
 
     #[test]
+    fn replaying_a_dump_with_a_forged_flow_count_exits_as_an_analysis_error() {
+        let base = dcesim::sim::SimConfig::fluid_validation_default();
+        let seeded = dcesim::batch::seeded_config(&dcesim::batch::BatchConfig::quick(base, 1), 0);
+        let mut dump = telemetry::schema_header();
+        dump.push('\n');
+        dump.push_str(r#"{"type":"postmortem","seed":0,"cause":"boom","events":0}"#);
+        dump.push('\n');
+        dcesim::checkpoint::encode_replay_context(0, None, None, &seeded, &mut dump);
+        let flows = format!(r#""flows":{}"#, seeded.flows.len());
+        assert!(dump.contains(&flows), "{dump}");
+        let forged = dump.replacen(&flows, r#""flows":9007199254740992"#, 1);
+        let path = std::env::temp_dir().join(format!("forged-flows-{}.jsonl", std::process::id()));
+        std::fs::write(&path, forged).expect("write dump");
+        let e = Error::from(cli::run(&["replay".into(), path.display().to_string()]).unwrap_err());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(e.exit_code(), 3, "{e}");
+    }
+
+    #[test]
     fn leaf_errors_convert_and_keep_their_message() {
         let wire = dcesim::wire::decode(&[0u8; 4]).unwrap_err();
         let e = Error::from(wire);
