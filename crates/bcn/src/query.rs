@@ -17,7 +17,7 @@
 //!   (through the sharded memo cache), bit-identical duplicate queries
 //!   are traced once and scattered back to input order, and the
 //!   per-query work runs on `parkit` with a per-worker
-//!   [`QueryWorkspace`] so the steady state allocates nothing. Every
+//!   `QueryWorkspace` so the steady state allocates nothing. Every
 //!   answer is a pure function of its own query, so the output vector is
 //!   bit-identical at any thread count and invariant under
 //!   deduplication.
@@ -90,7 +90,7 @@ pub struct StabilityAnswer {
 /// workload's deepest trace once, then every further query traces into
 /// it without touching the allocator.
 #[derive(Debug, Default)]
-pub struct QueryWorkspace {
+struct QueryWorkspace {
     legs: Vec<Leg>,
 }
 

@@ -21,7 +21,6 @@ use crate::extrema::{region_extremum, Extremum};
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
-use telemetry::{ExtremumKind, Telemetry};
 
 /// One maximal sojourn in a control region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,23 +75,9 @@ pub fn departing_region(params: &BcnParams, p: [f64; 2]) -> Region {
 /// state has contracted to within `1e-12` of the equilibrium.
 #[must_use]
 pub fn trace_legs(params: &BcnParams, start: [f64; 2], max_legs: usize) -> Vec<Leg> {
-    trace_legs_telemetry(params, start, max_legs, None)
-}
-
-/// Like [`trace_legs`], recording a region-switch event at every leg
-/// boundary and a queue-extremum event for every interior extremum into
-/// `tel` when provided. Event times are absolute (cumulative over legs);
-/// queue values are physical bits (`q0 + x`).
-#[must_use]
-pub fn trace_legs_telemetry(
-    params: &BcnParams,
-    start: [f64; 2],
-    max_legs: usize,
-    tel: Option<&mut Telemetry>,
-) -> Vec<Leg> {
     let prop = Propagator::for_params(params);
     let mut legs = Vec::new();
-    trace_legs_into(params, &prop, start, max_legs, &mut legs, tel);
+    trace_legs_into(params, &prop, start, max_legs, &mut legs);
     legs
 }
 
@@ -110,13 +95,10 @@ pub fn trace_legs_into(
     start: [f64; 2],
     max_legs: usize,
     legs: &mut Vec<Leg>,
-    mut tel: Option<&mut Telemetry>,
 ) {
     let k = params.k();
     legs.clear();
     let mut p = start;
-    let mut t_abs = 0.0;
-    let mut prev_region: Option<Region> = None;
     for _ in 0..max_legs {
         // Stop once the state has contracted to numerical noise relative
         // to the problem's own scales (q0 for x, C for y).
@@ -124,12 +106,6 @@ pub fn trace_legs_into(
             break;
         }
         let region = departing_region(params, p);
-        if let (Some(tel), Some(prev)) = (tel.as_deref_mut(), prev_region) {
-            if prev != region {
-                tel.region_switch(t_abs, prev.mode_index() as u32, region.mode_index() as u32);
-            }
-        }
-        prev_region = Some(region);
         let flow = prop.flow(region);
         let t_max = leg_horizon(flow);
         let duration = prop.crossing_time(region, p, t_max);
@@ -144,21 +120,9 @@ pub fn trace_legs_into(
             Some(d) => e.t > 0.0 && e.t <= d,
             None => e.t > 0.0,
         });
-        if let (Some(tel), Some(e)) = (tel.as_deref_mut(), extremum) {
-            // Queue maxima happen while the rate decays (decrease region),
-            // minima while it recovers (increase region).
-            let kind = match region {
-                Region::Decrease => ExtremumKind::Max,
-                Region::Increase => ExtremumKind::Min,
-            };
-            tel.queue_extremum(t_abs + e.t, params.q0 + e.x, kind);
-        }
         legs.push(Leg { region, start: p, end, duration, extremum });
         match end {
-            Some(z) => {
-                p = z;
-                t_abs += duration.unwrap_or(0.0);
-            }
+            Some(z) => p = z,
             None => break,
         }
     }

@@ -13,7 +13,7 @@
 //!   it provides the drop/underflow ground truth for the criterion
 //!   experiments.
 
-use odesolve::hybrid::{integrate_hybrid_telemetry, HybridSolution};
+use odesolve::hybrid::{integrate_hybrid, HybridSolution};
 use odesolve::{Dopri5, Options, SolveError};
 use telemetry::{ExtremumKind, Telemetry};
 
@@ -133,7 +133,7 @@ pub fn fluid_trajectory_telemetry(
     if let Some(dt) = opts.record_dt {
         o = o.with_record_dt(dt);
     }
-    let out = integrate_hybrid_telemetry(
+    let out = integrate_hybrid(
         sys,
         0.0,
         p0,

@@ -311,7 +311,7 @@ pub fn exact_verdict_scratch(
     max_legs: usize,
     legs: &mut Vec<Leg>,
 ) -> ExactVerdict {
-    trace_legs_into(params, prop, params.initial_point(), max_legs, legs, None);
+    trace_legs_into(params, prop, params.initial_point(), max_legs, legs);
     let mut max_x = f64::NEG_INFINITY;
     let mut min_x = f64::INFINITY;
     for (i, leg) in legs.iter().enumerate() {

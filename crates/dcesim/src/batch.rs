@@ -113,7 +113,7 @@ impl BatchConfig {
     }
 
     /// Checks the jitter knobs before any seed runs (see
-    /// [`check_jitter`]).
+    /// `check_jitter`).
     ///
     /// # Errors
     ///
@@ -418,7 +418,7 @@ const WALL_CHECK_EVERY: u64 = 4096;
 /// The replay-comparable cause string for a watchdog demotion; shared
 /// by postmortem dumps and [`replay`] so the comparison is verbatim.
 #[must_use]
-pub fn timeout_cause(events: u64) -> String {
+fn timeout_cause(events: u64) -> String {
     format!("watchdog: event budget exhausted after {events} events")
 }
 
@@ -871,7 +871,7 @@ impl NetBatchConfig {
     }
 
     /// Checks the rate jitter before any seed runs (see
-    /// [`check_jitter`]).
+    /// `check_jitter`).
     ///
     /// # Errors
     ///

@@ -211,7 +211,7 @@ fn mix_rp_config(mut h: u64, rp: &RpConfig) -> u64 {
 /// (switches, routes, congestion points, links), flows, PAUSE policy,
 /// fault plan, and scheduler.
 #[must_use]
-pub fn net_config_digest(cfg: &NetConfig) -> u64 {
+fn net_config_digest(cfg: &NetConfig) -> u64 {
     let mut h = 0x85eb_ca6b_c2b2_ae35;
     h = mix(h, cfg.hosts as u64);
     h = mix(h, cfg.switches.len() as u64);
@@ -338,7 +338,7 @@ fn scheduler_tag(s: Scheduler) -> u64 {
 /// [`SimConfig`]: a `sim_config` header (with digest), the control
 /// parameters, every flow, and the seeded fault plan. The inverse is
 /// [`decode_sim_config`].
-pub fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
+fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
     let control = match cfg.control {
         Control::Bcn { .. } => "bcn",
         Control::Qcn { .. } => "qcn",
@@ -437,7 +437,7 @@ pub fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
 ///
 /// Fails on truncation, malformed records, or a digest mismatch
 /// (edited or version-skewed config block).
-pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
+fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<SimConfig, CheckpointError> {
     let head = Record::next(lines, "sim_config")?;

@@ -117,8 +117,6 @@ pub struct CongestionPoint {
     countdown: u64,
     arrived_bits: f64,
     departed_bits: f64,
-    samples_taken: u64,
-    messages_sent: u64,
 }
 
 impl CongestionPoint {
@@ -131,14 +129,7 @@ impl CongestionPoint {
     pub fn new(cfg: CpConfig) -> Self {
         cfg.assert_valid();
         let countdown = cfg.sample_every;
-        Self {
-            cfg,
-            countdown,
-            arrived_bits: 0.0,
-            departed_bits: 0.0,
-            samples_taken: 0,
-            messages_sent: 0,
-        }
+        Self { cfg, countdown, arrived_bits: 0.0, departed_bits: 0.0 }
     }
 
     /// The configuration.
@@ -172,7 +163,6 @@ impl CongestionPoint {
             return None;
         }
         self.countdown = self.cfg.sample_every;
-        self.samples_taken += 1;
 
         let dq = self.arrived_bits - self.departed_bits;
         self.arrived_bits = 0.0;
@@ -185,29 +175,13 @@ impl CongestionPoint {
         let positive_allowed = !self.cfg.gate_positive
             || (frame.rrt == Some(self.cfg.cpid) && q_bits < self.cfg.q0_bits);
         let send = sigma < 0.0 || (sigma > 0.0 && positive_allowed);
-        let msg = send.then_some(BcnMessage { dst: frame.src, cpid: self.cfg.cpid, sigma });
-        if msg.is_some() {
-            self.messages_sent += 1;
-        }
-        msg
+        send.then_some(BcnMessage { dst: frame.src, cpid: self.cfg.cpid, sigma })
     }
 
     /// Whether the queue occupancy warrants an 802.3x PAUSE.
     #[must_use]
     pub fn should_pause(&self, q_bits: f64) -> bool {
         q_bits > self.cfg.qsc_bits
-    }
-
-    /// Number of frames sampled so far.
-    #[must_use]
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
-    }
-
-    /// Number of BCN messages emitted so far.
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
     }
 }
 
@@ -243,7 +217,8 @@ mod tests {
         assert!(!msg.is_positive());
         assert_eq!(msg.dst, SourceId(9));
         assert_eq!(msg.cpid, CpId(7));
-        assert_eq!(cp.samples_taken(), 1);
+        // The sample restarted the countdown.
+        assert_eq!(cp.countdown, cfg().sample_every);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Frames on the wire: data, BCN messages, PAUSE.
+//! Frames on the wire: data and BCN messages.
 
 /// Identifier of a source / reaction point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,14 +45,6 @@ impl BcnMessage {
     pub fn is_positive(&self) -> bool {
         self.sigma > 0.0
     }
-}
-
-/// An IEEE 802.3x PAUSE indication (sent when the queue exceeds the
-/// severe-congestion threshold `q_sc`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PauseFrame {
-    /// How long the receiver must hold off transmission.
-    pub hold: crate::time::Duration,
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ use crate::sched::{EventQueue, Scheduler};
 use crate::time::{Duration, Time};
 
 /// Number of 802.1p priority classes the engine models.
-pub const N_PRIORITIES: usize = 8;
+const N_PRIORITIES: usize = 8;
 
 /// Where a link terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -486,6 +486,15 @@ impl NetSim {
         self.telemetry.take()
     }
 
+    /// Emits a fault-injection event (and bumps its `faults.*` counter)
+    /// when a telemetry sink is attached; `target` is the flow, link or
+    /// switch the fault hit.
+    fn note_fault(&mut self, class: FaultClass, target: usize) {
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.fault_injected(self.now.as_secs(), class, target as u32);
+        }
+    }
+
     fn schedule(&mut self, time: Time, ev: Ev) {
         self.events.schedule(time, ev);
     }
@@ -640,9 +649,7 @@ impl NetSim {
     fn on_arrive(&mut self, link: usize, frame: NetFrame) {
         // Per-link wire loss: a multi-hop frame faces one draw per hop.
         if self.faults.is_active() && self.faults.data_frame_lost() {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.fault_injected(self.now.as_secs(), FaultClass::DataLoss, link as u32);
-            }
+            self.note_fault(FaultClass::DataLoss, link);
             return;
         }
         match self.cfg.links[link].to {
@@ -699,6 +706,9 @@ impl NetSim {
         if let Some(msg) = feedback {
             let mut injected = std::mem::take(&mut self.fault_scratch);
             let fate = self.faults.feedback_fate_into(&msg, &mut injected);
+            for &class in &injected {
+                self.note_fault(class, msg.dst.0 as usize);
+            }
             injected.clear();
             self.fault_scratch = injected;
             if let FeedbackFate::Deliver { msg, extra } = fate {
@@ -738,7 +748,10 @@ impl NetSim {
         self.switches[si].last_pause = Some(self.now);
         // Pause every link that terminates at this switch (precomputed
         // in `new` — this path allocates nothing).
-        let (hold, _stormed) = self.faults.pause_hold(self.cfg.pause.hold);
+        let (hold, stormed) = self.faults.pause_hold(self.cfg.pause.hold);
+        if stormed {
+            self.note_fault(FaultClass::PauseStorm, si);
+        }
         for k in self.incoming_off[si] as usize..self.incoming_off[si + 1] as usize {
             let li = self.incoming_links[k] as usize;
             self.pause_counts[li] += 1;
@@ -805,6 +818,7 @@ impl NetSim {
         let mut start = self.now;
         if self.faults.is_active() {
             if let Some(up) = self.faults.link_up_at(self.now) {
+                self.note_fault(FaultClass::LinkFlap, link);
                 start = up;
             }
         }
@@ -892,98 +906,7 @@ pub fn victim_topology(
     pause: PauseConfig,
     bcn: Option<(CpConfig, RpConfig)>,
 ) -> (NetConfig, usize) {
-    let n_hosts = n_culprits + 3; // culprits + victim + two sinks
-    let victim_host = n_culprits;
-    let sink_c = n_culprits + 1;
-    let sink_v = n_culprits + 2;
-
-    let mut links = Vec::new();
-    // Access links (hosts -> S1), generous capacity.
-    for h in 0..=n_culprits {
-        links.push(LinkSpec {
-            from: Endpoint::Host(h),
-            to: Endpoint::Switch(0),
-            capacity: 4.0 * trunk_capacity,
-            delay: prop,
-        });
-    }
-    // Trunk S1 -> S2.
-    let trunk = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(0),
-        to: Endpoint::Switch(1),
-        capacity: trunk_capacity,
-        delay: prop,
-    });
-    // Bottleneck S2 -> sink_c at a quarter of the trunk.
-    let bottleneck = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(1),
-        to: Endpoint::Host(sink_c),
-        capacity: 0.25 * trunk_capacity,
-        delay: prop,
-    });
-    // Victim egress S2 -> sink_v at full trunk rate.
-    let victim_link = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(1),
-        to: Endpoint::Host(sink_v),
-        capacity: trunk_capacity,
-        delay: prop,
-    });
-
-    let buffer = 60.0 * frame_bits;
-    let s1 = SwitchSpec {
-        buffer_bits: buffer,
-        qsc_bits: 0.6 * buffer,
-        routes: vec![(sink_c, trunk), (sink_v, trunk)],
-        cps: Vec::new(),
-    };
-    let s2_cps = match &bcn {
-        Some((cp, _)) => vec![(bottleneck, CpConfig { cpid: CpId(2), ..*cp })],
-        None => Vec::new(),
-    };
-    let s2 = SwitchSpec {
-        buffer_bits: buffer,
-        qsc_bits: 0.6 * buffer,
-        routes: vec![(sink_c, bottleneck), (sink_v, victim_link)],
-        cps: s2_cps,
-    };
-
-    let mut flows = Vec::new();
-    for h in 0..n_culprits {
-        flows.push(NetFlow {
-            src_host: h,
-            dst_host: sink_c,
-            // Culprits collectively offer half the trunk: 2x the
-            // bottleneck, but leaving the trunk itself uncongested.
-            initial_rate: 0.5 * trunk_capacity / n_culprits as f64,
-            rp: bcn.as_ref().map(|(_, rp)| *rp),
-            priority: 0,
-        });
-    }
-    let victim = flows.len();
-    flows.push(NetFlow {
-        src_host: victim_host,
-        dst_host: sink_v,
-        initial_rate: 0.25 * trunk_capacity,
-        rp: bcn.as_ref().map(|(_, rp)| *rp),
-        priority: 0,
-    });
-
-    let cfg = NetConfig {
-        hosts: n_hosts,
-        switches: vec![s1, s2],
-        links,
-        flows,
-        frame_bits,
-        t_end: Time::from_secs(t_end),
-        record_interval: Duration::from_secs(t_end / 2000.0),
-        pause,
-        faults: FaultConfig::none(),
-        scheduler: Scheduler::default(),
-    };
-    (cfg, victim)
+    switch_chain(2, n_culprits, trunk_capacity, frame_bits, prop, t_end, pause, bcn)
 }
 
 /// Builds a three-switch chain that lets PAUSE cascade two hops
@@ -1011,88 +934,85 @@ pub fn parking_lot_topology(
     pause: PauseConfig,
     bcn: Option<(CpConfig, RpConfig)>,
 ) -> (NetConfig, usize) {
-    let deep_victim_host = n_culprits;
+    switch_chain(3, n_culprits, trunk_capacity, frame_bits, prop, t_end, pause, bcn)
+}
+
+/// The chain behind [`victim_topology`] and [`parking_lot_topology`]:
+/// culprits and the victim enter at the first of `n_switches` switches
+/// joined by full-rate trunks; the last switch feeds the quarter-rate
+/// bottleneck to `sink_c` and the full-rate victim link to `sink_v`.
+/// Route tables come from [`crate::topo::auto_routes`]; the bottleneck's
+/// congestion point is `CpId(n_switches)`.
+#[allow(clippy::too_many_arguments)]
+fn switch_chain(
+    n_switches: usize,
+    n_culprits: usize,
+    trunk_capacity: f64,
+    frame_bits: f64,
+    prop: Duration,
+    t_end: f64,
+    pause: PauseConfig,
+    bcn: Option<(CpConfig, RpConfig)>,
+) -> (NetConfig, usize) {
+    let victim_host = n_culprits;
     let sink_c = n_culprits + 1;
     let sink_v = n_culprits + 2;
     let n_hosts = n_culprits + 3;
+    let last = n_switches - 1;
+    let link = |from, to, capacity| LinkSpec { from, to, capacity, delay: prop };
 
-    let mut links = Vec::new();
-    // Culprits and the victim all enter at S0.
-    for h in 0..=n_culprits {
-        links.push(LinkSpec {
-            from: Endpoint::Host(h),
-            to: Endpoint::Switch(0),
-            capacity: 4.0 * trunk_capacity,
-            delay: prop,
-        });
+    // Access links (culprits and victim -> first switch), generous capacity.
+    let mut links: Vec<LinkSpec> = (0..=n_culprits)
+        .map(|h| link(Endpoint::Host(h), Endpoint::Switch(0), 4.0 * trunk_capacity))
+        .collect();
+    for s in 0..last {
+        links.push(link(Endpoint::Switch(s), Endpoint::Switch(s + 1), trunk_capacity));
     }
-    let _ = deep_victim_host;
-    let trunk0 = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(0),
-        to: Endpoint::Switch(1),
-        capacity: trunk_capacity,
-        delay: prop,
-    });
-    let trunk1 = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(1),
-        to: Endpoint::Switch(2),
-        capacity: trunk_capacity,
-        delay: prop,
-    });
     let bottleneck = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(2),
-        to: Endpoint::Host(sink_c),
-        capacity: 0.25 * trunk_capacity,
-        delay: prop,
-    });
-    let victim_link = links.len();
-    links.push(LinkSpec {
-        from: Endpoint::Switch(2),
-        to: Endpoint::Host(sink_v),
-        capacity: trunk_capacity,
-        delay: prop,
-    });
+    links.push(link(Endpoint::Switch(last), Endpoint::Host(sink_c), 0.25 * trunk_capacity));
+    links.push(link(Endpoint::Switch(last), Endpoint::Host(sink_v), trunk_capacity));
 
     let buffer = 60.0 * frame_bits;
-    let mk_switch = |routes: Vec<(usize, usize)>, cps: Vec<(usize, CpConfig)>| SwitchSpec {
-        buffer_bits: buffer,
-        qsc_bits: 0.6 * buffer,
-        routes,
-        cps,
-    };
-    let s0 = mk_switch(vec![(sink_v, trunk0), (sink_c, trunk0)], Vec::new());
-    let s1 = mk_switch(vec![(sink_v, trunk1), (sink_c, trunk1)], Vec::new());
-    let s2_cps = match &bcn {
-        Some((cp, _)) => vec![(bottleneck, CpConfig { cpid: CpId(3), ..*cp })],
-        None => Vec::new(),
-    };
-    let s2 = mk_switch(vec![(sink_c, bottleneck), (sink_v, victim_link)], s2_cps);
+    let switches = crate::topo::auto_routes(n_hosts, n_switches, &links)
+        .into_iter()
+        .enumerate()
+        .map(|(s, routes)| SwitchSpec {
+            buffer_bits: buffer,
+            qsc_bits: 0.6 * buffer,
+            routes,
+            cps: match &bcn {
+                Some((cp, _)) if s == last => {
+                    vec![(bottleneck, CpConfig { cpid: CpId(n_switches as u64), ..*cp })]
+                }
+                _ => Vec::new(),
+            },
+        })
+        .collect();
 
-    let mut flows = Vec::new();
-    for h in 0..n_culprits {
-        flows.push(NetFlow {
+    let rp = bcn.as_ref().map(|(_, rp)| *rp);
+    // Culprits collectively offer half the trunk: 2x the bottleneck,
+    // but leaving the trunks themselves uncongested.
+    let mut flows: Vec<NetFlow> = (0..n_culprits)
+        .map(|h| NetFlow {
             src_host: h,
             dst_host: sink_c,
             initial_rate: 0.5 * trunk_capacity / n_culprits as f64,
-            rp: bcn.as_ref().map(|(_, rp)| *rp),
+            rp,
             priority: 0,
-        });
-    }
-    let deep_victim = flows.len();
+        })
+        .collect();
+    let victim = flows.len();
     flows.push(NetFlow {
-        src_host: deep_victim_host,
+        src_host: victim_host,
         dst_host: sink_v,
         initial_rate: 0.25 * trunk_capacity,
-        rp: bcn.as_ref().map(|(_, rp)| *rp),
+        rp,
         priority: 0,
     });
 
     let cfg = NetConfig {
         hosts: n_hosts,
-        switches: vec![s0, s1, s2],
+        switches,
         links,
         flows,
         frame_bits,
@@ -1102,7 +1022,7 @@ pub fn parking_lot_topology(
         faults: FaultConfig::none(),
         scheduler: Scheduler::default(),
     };
-    (cfg, deep_victim)
+    (cfg, victim)
 }
 
 #[cfg(test)]
@@ -1506,6 +1426,54 @@ mod tests {
         // Without feedback the culprit sources never slow down.
         let culprit_rate = report.flows[0].final_rate;
         assert!(culprit_rate >= 0.125 * TRUNK * 0.99, "culprit regulated anyway: {culprit_rate}");
+    }
+
+    #[test]
+    fn fault_telemetry_matches_report_counts() {
+        use telemetry::{Telemetry, TelemetryLevel};
+        let pause = PauseConfig {
+            enabled: true,
+            hold: Duration::from_secs(40.0 * FRAME / TRUNK),
+            per_priority: false,
+        };
+        let (mut cfg, _) = victim_topology(
+            4,
+            TRUNK,
+            FRAME,
+            Duration::from_secs(1e-6),
+            0.1,
+            pause,
+            Some(bcn_pair()),
+        );
+        cfg.faults.seed = 9;
+        cfg.faults.feedback_loss = 0.2;
+        cfg.faults.feedback_corrupt = 0.2;
+        cfg.faults.feedback_extra_delay = Duration::from_secs(1e-5);
+        cfg.faults.feedback_reorder = 0.2;
+        cfg.faults.reorder_window = Duration::from_secs(1e-5);
+        cfg.faults.data_loss = 0.01;
+        cfg.faults.link_flap_period = Duration::from_secs(0.01);
+        cfg.faults.link_flap_down = Duration::from_secs(0.001);
+        cfg.faults.pause_storm = 0.5;
+        cfg.faults.pause_storm_factor = 3.0;
+        let report =
+            NetSim::new(cfg).with_telemetry_sink(Telemetry::new(TelemetryLevel::Summary)).run();
+        let f = &report.faults;
+        let counter = |name: &str| {
+            report.telemetry.as_ref().expect("sink attached").metrics.counter_by_name(name)
+        };
+        for (name, tally) in [
+            ("faults.feedback_drop", f.feedback_dropped),
+            ("faults.feedback_corrupt", f.feedback_corrupted + f.feedback_corrupt_lost),
+            ("faults.feedback_delay", f.feedback_delayed),
+            ("faults.feedback_reorder", f.feedback_reordered),
+            ("faults.data_loss", f.data_frames_lost),
+            ("faults.link_flap", f.link_flap_deferrals),
+            ("faults.pause_storm", f.pause_storms),
+        ] {
+            assert!(tally > 0, "{name}: the fault class never fired");
+            assert_eq!(counter(name), Some(tally), "{name}");
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl QcnRpConfig {
 
 /// Rate-recovery stage of a QCN reaction point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QcnStage {
+enum QcnStage {
     /// No congestion seen yet (or fully recovered): send at will.
     Unconstrained,
     /// Binary-search recovery towards the pre-congestion target rate.
@@ -177,12 +177,6 @@ impl QcnRp {
     #[must_use]
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Current recovery stage.
-    #[must_use]
-    pub fn stage(&self) -> QcnStage {
-        self.stage
     }
 
     /// Applies received congestion feedback.
@@ -276,7 +270,7 @@ mod tests {
     fn feedback_cuts_rate_and_sets_target() {
         let mut rp = rp();
         rp.on_feedback(&QcnFeedback { dst: SourceId(0), fb: 1.0 });
-        assert_eq!(rp.stage(), QcnStage::FastRecovery);
+        assert_eq!(rp.stage, QcnStage::FastRecovery);
         assert!((rp.rate() - 2.5e8).abs() < 1.0, "halved at max feedback");
     }
 
@@ -290,7 +284,7 @@ mod tests {
         }
         // After 5 halvings the rate is within ~3% of the target.
         assert!((rp.rate() - target).abs() < 0.04 * target, "rate {}", rp.rate());
-        assert_eq!(rp.stage(), QcnStage::ActiveIncrease);
+        assert_eq!(rp.stage, QcnStage::ActiveIncrease);
     }
 
     #[test]
@@ -310,7 +304,7 @@ mod tests {
         let before = rp.rate();
         rp.on_bits_sent(1.0e9);
         assert_eq!(rp.rate(), before);
-        assert_eq!(rp.stage(), QcnStage::Unconstrained);
+        assert_eq!(rp.stage, QcnStage::Unconstrained);
     }
 
     #[test]

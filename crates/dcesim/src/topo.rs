@@ -32,15 +32,14 @@
 //! The compiled fabrics run lossless under PAUSE by construction
 //! (verified by the incast tests below at 4× overload).
 //!
-//! For irregular fabrics (the victim scenarios), [`auto_routes`] derives
-//! the same dense route tables from the link list alone: per-destination
-//! reverse BFS with a deterministic lowest-link-index tie-break.
+//! For irregular fabrics (the victim and parking-lot chains of
+//! [`crate::net`]), [`auto_routes`] derives the same dense route tables
+//! from the link list alone: per-destination reverse BFS with a
+//! deterministic lowest-link-index tie-break.
 
-use crate::cp::CpConfig;
 use crate::error::ConfigError;
 use crate::faults::FaultConfig;
 use crate::net::{Endpoint, LinkSpec, NetConfig, NetFlow, PauseConfig, SwitchSpec};
-use crate::rp::RpConfig;
 use crate::sched::Scheduler;
 use crate::time::{Duration, Time};
 
@@ -696,40 +695,6 @@ pub fn auto_routes(
     routes
 }
 
-/// Re-expresses the hand-wired victim scenario of
-/// [`crate::net::victim_topology`] as a generator instance: the same
-/// hosts, links, buffers, and flows, with the route tables derived by
-/// [`auto_routes`] instead of written by hand. Kept as a regression
-/// oracle: the compiled config must produce a bit-identical
-/// [`crate::net::NetReport`].
-#[must_use]
-pub fn victim_fabric(
-    n_culprits: usize,
-    trunk_capacity: f64,
-    frame_bits: f64,
-    prop: Duration,
-    t_end: f64,
-    pause: PauseConfig,
-    bcn: Option<(CpConfig, RpConfig)>,
-) -> (NetConfig, usize) {
-    let (mut cfg, victim) = crate::net::victim_topology(
-        n_culprits,
-        trunk_capacity,
-        frame_bits,
-        prop,
-        t_end,
-        pause,
-        bcn,
-    );
-    let routes = auto_routes(cfg.hosts, cfg.switches.len(), &cfg.links);
-    for (sw, table) in cfg.switches.iter_mut().zip(routes) {
-        // Only sinks are routable (culprits and the victim have no
-        // down-links), matching the hand-wired tables entry for entry.
-        sw.routes = table;
-    }
-    (cfg, victim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,31 +928,6 @@ mod tests {
             let t = Traffic::parse(bad);
             assert!(t.is_err() || t.unwrap().flows(&fabric).is_err(), "{bad} should be rejected");
         }
-    }
-
-    #[test]
-    fn victim_fabric_matches_the_hand_wired_topology() {
-        let pause = PauseConfig {
-            enabled: true,
-            hold: Duration::from_secs(40.0 * 8_000.0 / 1e9),
-            per_priority: false,
-        };
-        let (legacy, v1) = crate::net::victim_topology(
-            4,
-            1e9,
-            8_000.0,
-            Duration::from_secs(1e-6),
-            0.05,
-            pause,
-            None,
-        );
-        let (generated, v2) =
-            victim_fabric(4, 1e9, 8_000.0, Duration::from_secs(1e-6), 0.05, pause, None);
-        assert_eq!(v1, v2);
-        assert_eq!(generated, legacy, "auto-routed victim config must equal the hand wiring");
-        let a = NetSim::new(legacy).run();
-        let b = NetSim::new(generated).run();
-        assert_eq!(a, b, "generator and legacy wiring must produce bit-identical reports");
     }
 
     #[test]

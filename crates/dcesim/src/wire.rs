@@ -18,10 +18,10 @@ pub const BCN_FRAME_BYTES: usize = 30;
 
 /// The (unassigned, documentation-value) EtherType used to mark BCN
 /// messages.
-pub const BCN_ETHERTYPE: u16 = 0x8948;
+const BCN_ETHERTYPE: u16 = 0x8948;
 
 /// The 802.1Q Tag Protocol Identifier.
-pub const TPID_8021Q: u16 = 0x8100;
+const TPID_8021Q: u16 = 0x8100;
 
 /// Errors raised when decoding a BCN frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl std::error::Error for WireError {}
 /// Fixed-point scale of the FB field: `sigma` is carried in units of
 /// this many bits of queue (64 bytes), giving ±2^31 * 512 bits ≈ ±1 Tbit
 /// of range — far beyond any real buffer.
-pub const FB_UNIT_BITS: f64 = 512.0;
+const FB_UNIT_BITS: f64 = 512.0;
 
 /// Encodes a BCN message into its Fig. 2 wire form.
 ///

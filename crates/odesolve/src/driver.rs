@@ -1,10 +1,9 @@
 //! One-shot integration drivers.
 
-use crate::event::{locate_zero_counted, EventOccurrence, EventSpec};
+use crate::event::{locate_zero, EventOccurrence, EventSpec};
 use crate::interp::CubicHermite;
 use crate::solution::Solution;
-use crate::stepper::Stepper;
-use crate::{Ode, SolveError};
+use crate::{Dopri5, Ode, SolveError};
 use telemetry::Telemetry;
 
 /// Driver-level configuration shared by all integration runs.
@@ -64,7 +63,7 @@ pub fn integrate<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     opts: &Options,
 ) -> Result<Solution<N>, SolveError> {
     integrate_with_events(ode, t0, y0, t_end, stepper, &[], opts)
@@ -84,7 +83,7 @@ pub fn integrate_with_events<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     events: &[EventSpec<'_, N>],
     opts: &Options,
 ) -> Result<Solution<N>, SolveError> {
@@ -107,7 +106,7 @@ pub fn integrate_with_events_telemetry<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     events: &[EventSpec<'_, N>],
     opts: &Options,
     mut tel: Option<&mut Telemetry>,
@@ -155,7 +154,7 @@ pub fn integrate_with_events_telemetry<const N: usize>(
             let g_new = spec.guard.guard(out.t_new, &out.y_new);
             if spec.direction.matches(g[idx], g_new) {
                 let (te, ye, iters) =
-                    locate_zero_counted(spec.guard, &interp, g[idx], g_new, spec.direction);
+                    locate_zero(spec.guard, &interp, g[idx], g_new, spec.direction);
                 if let Some(tel) = tel.as_deref_mut() {
                     tel.event_located(te, iters);
                 }
@@ -232,7 +231,6 @@ fn record_dense<const N: usize>(
 mod tests {
     use super::*;
     use crate::event::Direction;
-    use crate::{Dopri5, Rk4};
 
     #[test]
     fn reaches_end_time() {
@@ -371,8 +369,8 @@ mod tests {
             0.0,
             [1.0],
             100.0,
-            &mut Rk4::with_step(1e-4),
-            &Options::default().with_max_steps(10),
+            &mut Dopri5::new(),
+            &Options::default().with_max_steps(10).with_max_step(1e-4),
         )
         .unwrap_err();
         assert!(matches!(err, SolveError::MaxStepsExceeded { .. }));

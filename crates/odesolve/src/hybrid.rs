@@ -14,8 +14,7 @@
 use crate::driver::{integrate_with_events_telemetry, Options};
 use crate::event::{Direction, EventSpec};
 use crate::solution::Solution;
-use crate::stepper::Stepper;
-use crate::SolveError;
+use crate::{Dopri5, SolveError};
 use telemetry::{SpanKind, Telemetry};
 
 /// A piecewise-smooth dynamical system with a finite set of modes.
@@ -82,37 +81,21 @@ impl<const N: usize> HybridSolution<N> {
 }
 
 /// Integrates a [`HybridSystem`] from `(t0, y0)` until `t_end`, or until
-/// `max_switches` mode changes have occurred.
+/// `max_switches` mode changes have occurred, recording solver telemetry
+/// for every leg and a region-switch event at every mode transition into
+/// `tel` when provided.
 ///
 /// # Errors
 ///
 /// Propagates any [`SolveError`] from the underlying smooth integrations.
+#[allow(clippy::too_many_arguments)]
 pub fn integrate_hybrid<const N: usize, S: HybridSystem<N>>(
     sys: &S,
     t0: f64,
     y0: [f64; N],
     t_end: f64,
     max_switches: usize,
-    stepper: &mut dyn Stepper<N>,
-    opts: &Options,
-) -> Result<HybridSolution<N>, SolveError> {
-    integrate_hybrid_telemetry(sys, t0, y0, t_end, max_switches, stepper, opts, None)
-}
-
-/// Like [`integrate_hybrid`], recording solver telemetry for every leg and
-/// a region-switch event at every mode transition into `tel` when provided.
-///
-/// # Errors
-///
-/// Propagates any [`SolveError`] from the underlying smooth integrations.
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_hybrid_telemetry<const N: usize, S: HybridSystem<N>>(
-    sys: &S,
-    t0: f64,
-    y0: [f64; N],
-    t_end: f64,
-    max_switches: usize,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     opts: &Options,
     mut tel: Option<&mut Telemetry>,
 ) -> Result<HybridSolution<N>, SolveError> {
@@ -218,6 +201,7 @@ mod tests {
             10,
             &mut Dopri5::with_tolerances(1e-10, 1e-10),
             &Options::default(),
+            None,
         )
         .unwrap();
         let switches = out.switch_times();
@@ -239,6 +223,7 @@ mod tests {
             1,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         assert!(out.switch_budget_exhausted);
@@ -282,6 +267,7 @@ mod tests {
             100,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         let st = out.switch_times();
@@ -305,6 +291,7 @@ mod tests {
             0,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         // One leg, stopped exactly at the first guard hit.
@@ -326,6 +313,7 @@ mod tests {
             5,
             &mut Dopri5::with_tolerances(1e-10, 1e-10),
             &Options::default(),
+            None,
         )
         .unwrap();
         // Up for 1 s, back at zero at t = 2 > 1.5: no switch in horizon.
@@ -344,6 +332,7 @@ mod tests {
             100,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         // Consecutive intervals abut exactly and cover [0, t_end].
@@ -362,7 +351,7 @@ mod tests {
     fn telemetry_records_steps_switches_and_event_locations() {
         use telemetry::{Telemetry, TelemetryLevel};
         let mut tel = Telemetry::new(TelemetryLevel::Full);
-        let out = integrate_hybrid_telemetry(
+        let out = integrate_hybrid(
             &Relay,
             0.0,
             [0.0],
@@ -407,7 +396,7 @@ mod tests {
     fn telemetry_off_sink_matches_untelemetered_run() {
         use telemetry::{Telemetry, TelemetryLevel};
         let mut tel = Telemetry::new(TelemetryLevel::Off);
-        let a = integrate_hybrid_telemetry(
+        let a = integrate_hybrid(
             &Relay,
             0.0,
             [0.0],
@@ -426,6 +415,7 @@ mod tests {
             100,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         assert_eq!(a.solution.last_state(), b.solution.last_state());
@@ -459,6 +449,7 @@ mod tests {
             5,
             &mut Dopri5::new(),
             &Options::default(),
+            None,
         )
         .unwrap();
         assert_eq!(out.switch_count(), 0);

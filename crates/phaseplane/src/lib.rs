@@ -15,9 +15,8 @@
 //!   closures), with [`trajectory`] tracing built on `odesolve`.
 //! * [`SwitchingLine`] — a line through the origin partitioning the plane,
 //!   as used by variable-structure control systems.
-//! * [`poincare`] — Poincaré sections, return maps, and a fixed-point
-//!   finder for locating limit cycles and measuring their stability.
-//! * [`field`] — vector-field grid sampling for quiver-style figures.
+//! * [`poincare`] — Poincaré sections and return maps, whose per-revolution
+//!   contraction ratio tells spiralling in from spiralling out.
 //!
 //! The BCN-specific closed forms (logarithmic spirals, node parabolas,
 //! extrema formulas) live in the `bcn` crate, which builds on this one.
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod field;
 mod linear2d;
 pub mod poincare;
 mod switching;
@@ -33,6 +31,6 @@ mod system;
 mod trajectory;
 
 pub use linear2d::{classify, Eigen2, FixedPointKind, Mat2};
-pub use switching::{HalfPlane, SwitchingLine};
+pub use switching::SwitchingLine;
 pub use system::PlaneSystem;
 pub use trajectory::{linear_trajectory, trajectory, trajectory_with_events, TrajectoryOptions};

@@ -1,4 +1,4 @@
-//! Poincaré sections, return maps, and limit-cycle location.
+//! Poincaré sections and return maps.
 //!
 //! A planar limit cycle shows up as a fixed point of the *return map* on a
 //! section: start on a ray through the origin, flow once around, and record
@@ -109,12 +109,6 @@ impl<'a, S: PlaneSystem> ReturnMap<'a, S> {
         self
     }
 
-    /// The underlying section line.
-    #[must_use]
-    pub fn line(&self) -> SwitchingLine {
-        self.line
-    }
-
     /// Applies the map to the point at section coordinate `s`.
     ///
     /// # Errors
@@ -160,96 +154,6 @@ impl<'a, S: PlaneSystem> ReturnMap<'a, S> {
     }
 }
 
-/// A located limit cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LimitCycle {
-    /// Fixed-point coordinate on the section.
-    pub s: f64,
-    /// The corresponding point in the plane.
-    pub point: [f64; 2],
-    /// Orbit period.
-    pub period: f64,
-    /// Floquet multiplier `dP/ds` at the fixed point: `|multiplier| < 1`
-    /// means the cycle is orbitally stable.
-    pub multiplier: f64,
-}
-
-impl LimitCycle {
-    /// Whether the cycle attracts nearby trajectories.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.multiplier.abs() < 1.0
-    }
-}
-
-/// Searches `[s_lo, s_hi]` for a fixed point of the return map by
-/// bisection on the displacement `P(s) - s`.
-///
-/// Returns `Ok(None)` when the displacement has the same sign at both ends
-/// (no isolated cycle crossed in the bracket).
-///
-/// # Errors
-///
-/// Propagates [`PoincareError`] from map evaluations.
-///
-/// # Panics
-///
-/// Panics if `s_lo >= s_hi`.
-pub fn find_limit_cycle<S: PlaneSystem>(
-    map: &ReturnMap<'_, S>,
-    s_lo: f64,
-    s_hi: f64,
-) -> Result<Option<LimitCycle>, PoincareError> {
-    assert!(s_lo < s_hi, "bracket must be ordered");
-    let disp = |s: f64| -> Result<f64, PoincareError> { Ok(map.apply(s)?.s - s) };
-    let mut lo = s_lo;
-    let mut hi = s_hi;
-    let mut g_lo = disp(lo)?;
-    let g_hi = disp(hi)?;
-    if g_lo == 0.0 {
-        return finish(map, lo);
-    }
-    if g_hi == 0.0 {
-        return finish(map, hi);
-    }
-    if g_lo.signum() == g_hi.signum() {
-        return Ok(None);
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            break;
-        }
-        let g_mid = disp(mid)?;
-        if g_mid == 0.0 {
-            return finish(map, mid);
-        }
-        if g_mid.signum() == g_lo.signum() {
-            lo = mid;
-            g_lo = g_mid;
-        } else {
-            hi = mid;
-        }
-        if (hi - lo).abs() < 1e-12 * hi.abs().max(1.0) {
-            break;
-        }
-    }
-    finish(map, 0.5 * (lo + hi))
-}
-
-fn finish<S: PlaneSystem>(
-    map: &ReturnMap<'_, S>,
-    s: f64,
-) -> Result<Option<LimitCycle>, PoincareError> {
-    let crossing = map.apply(s)?;
-    // Central finite difference for the Floquet multiplier.
-    let ds = 1e-6 * s.abs().max(1e-6);
-    let p_plus = map.apply(s + ds)?.s;
-    let p_minus = map.apply(s - ds)?.s;
-    let multiplier = (p_plus - p_minus) / (2.0 * ds);
-    Ok(Some(LimitCycle { s, point: map.line().point_at(s), period: crossing.period, multiplier }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,23 +190,26 @@ mod tests {
 
     #[test]
     fn finds_van_der_pol_limit_cycle() {
-        // Section: the positive x-axis (line y = 0, coordinate = x up to
-        // orientation).
+        // Section: the x-axis (line y = 0). Orbits inside the cycle grow,
+        // orbits outside shrink, and the cycle (amplitude ~2.0, period
+        // ~6.66 for mu = 1) is a fixed point of the return map.
         let line = SwitchingLine::new(0.0, 1.0);
         let map = ReturnMap::new(&van_der_pol, line).with_horizon(100.0).with_tol(1e-10);
-        let lc = find_limit_cycle(&map, 0.5, 4.0).unwrap().expect("cycle exists");
-        // Known amplitude ~2.0 (to a couple of decimals for mu = 1).
-        assert!((lc.s.abs() - 2.0).abs() < 0.05, "amplitude {}", lc.s);
-        assert!(lc.is_stable(), "multiplier {}", lc.multiplier);
-        // Known period ~6.66 for mu = 1.
-        assert!((lc.period - 6.66).abs() < 0.1, "period {}", lc.period);
+        assert!(map.apply(1.0).unwrap().s > 1.0, "inner orbit must grow");
+        assert!(map.apply(3.0).unwrap().s < 3.0, "outer orbit must shrink");
+        let c = map.apply(2.0).unwrap();
+        assert!((c.s - 2.0).abs() < 0.05, "returned to {}", c.s);
+        assert!((c.period - 6.66).abs() < 0.1, "period {}", c.period);
     }
 
     #[test]
     fn no_cycle_in_sink() {
+        // Every orbit contracts: the return map has no fixed point.
         let map = ReturnMap::new(&damped, SwitchingLine::new(0.0, 1.0));
-        let found = find_limit_cycle(&map, 0.5, 3.0).unwrap();
-        assert!(found.is_none());
+        for s in [0.5, 1.0, 2.0, 3.0] {
+            let rho = map.contraction_ratio(s).unwrap();
+            assert!(rho > 0.0 && rho < 1.0, "contraction {rho} at {s}");
+        }
     }
 
     #[test]

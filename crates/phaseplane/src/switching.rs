@@ -1,22 +1,11 @@
 //! Switching lines for variable-structure (piecewise-linear) systems.
 
-/// The two open half-planes a [`SwitchingLine`] cuts the plane into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HalfPlane {
-    /// Points with positive signed value `n . p > 0`.
-    Positive,
-    /// Points with negative signed value `n . p < 0`.
-    Negative,
-    /// Points on the line itself (within exact arithmetic).
-    Boundary,
-}
-
 /// A line through the origin, `nx * x + ny * y = 0`, partitioning the phase
 /// plane into the two control regions of a variable-structure system.
 ///
 /// For the BCN model the switching function is `sigma = -(x + k y)`, so the
 /// line is `x + k y = 0` with normal `(1, k)`; the *rate-increase* region
-/// `sigma > 0` is this line's [`HalfPlane::Negative`] side.
+/// `sigma > 0` is where [`SwitchingLine::signed_value`] is negative.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchingLine {
     nx: f64,
@@ -64,19 +53,6 @@ impl SwitchingLine {
         self.nx * p[0] + self.ny * p[1]
     }
 
-    /// Which side of the line `p` lies on.
-    #[must_use]
-    pub fn side(&self, p: [f64; 2]) -> HalfPlane {
-        let v = self.signed_value(p);
-        if v > 0.0 {
-            HalfPlane::Positive
-        } else if v < 0.0 {
-            HalfPlane::Negative
-        } else {
-            HalfPlane::Boundary
-        }
-    }
-
     /// The point on the line at signed arc-coordinate `s` (measured along
     /// [`Self::direction`] from the origin).
     #[must_use]
@@ -91,14 +67,6 @@ impl SwitchingLine {
         let d = self.direction();
         p[0] * d[0] + p[1] * d[1]
     }
-
-    /// Whether the vector field crosses the line transversally at `p`
-    /// (i.e. `f(p)` has a nonzero component along the normal). Sliding
-    /// motion is only possible where this returns `false`.
-    #[must_use]
-    pub fn is_transversal(&self, f_at_p: [f64; 2]) -> bool {
-        self.nx * f_at_p[0] + self.ny * f_at_p[1] != 0.0
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +76,9 @@ mod tests {
     #[test]
     fn sides_of_bcn_line() {
         let line = SwitchingLine::bcn(2.0);
-        assert_eq!(line.side([1.0, 0.0]), HalfPlane::Positive);
-        assert_eq!(line.side([-1.0, 0.0]), HalfPlane::Negative);
-        assert_eq!(line.side([2.0, -1.0]), HalfPlane::Boundary);
+        assert!(line.signed_value([1.0, 0.0]) > 0.0);
+        assert!(line.signed_value([-1.0, 0.0]) < 0.0);
+        assert_eq!(line.signed_value([2.0, -1.0]), 0.0);
     }
 
     #[test]
@@ -130,13 +98,6 @@ mod tests {
             assert!((line.coordinate_of(p) - s).abs() < 1e-12);
             assert!(line.signed_value(p).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn transversality() {
-        let line = SwitchingLine::bcn(1.0); // x + y = 0, normal (1, 1)
-        assert!(line.is_transversal([1.0, 0.0]));
-        assert!(!line.is_transversal([1.0, -1.0])); // tangent to the line
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Series {
 /// plot height — used to render causal spans (e.g. PAUSE episodes) as
 /// background shading behind the data series.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Band {
+struct Band {
     /// Band start (data x coordinate).
     pub x0: f64,
     /// Band end (data x coordinate).

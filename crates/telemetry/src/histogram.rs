@@ -11,7 +11,7 @@
 const SUB_BITS: u32 = 4;
 /// Number of linear sub-buckets per octave (16 → ~4.4% worst-case
 /// relative error at the bucket midpoint).
-pub const SUB_PER_OCTAVE: usize = 1 << SUB_BITS;
+const SUB_PER_OCTAVE: usize = 1 << SUB_BITS;
 /// Lowest tracked binary exponent; values below `2^MIN_EXP` land in the
 /// first bucket. `2^-128 ≈ 2.9e-39` — far below any step size or queue
 /// occupancy this workspace produces.

@@ -9,7 +9,7 @@
 //!   (the paper's core contribution).
 //! * [`dcesim`] — packet-level Data Center Ethernet simulator with BCN and
 //!   QCN protocol implementations.
-//! * [`plotkit`] — CSV/SVG/ASCII reporting used by the figure generators.
+//! * [`plotkit`] — CSV/table/SVG reporting used by the figure generators.
 //! * [`telemetry`] — metrics registry, event tracing, and JSONL export
 //!   shared by the solvers, the simulator, and the CLI.
 //! * [`cli`] — the `dcebcn` command-line front end as a library.
