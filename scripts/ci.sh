@@ -17,6 +17,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo build --release =="
 cargo build --workspace --release
 
+echo "== run_all artifacts match the committed results/ =="
+# Every figure and experiment is deterministic: regenerate them all
+# into a scratch directory and byte-compare each artifact with its
+# committed copy (a missing copy fails cmp too).
+ra=$(mktemp -d)
+DCE_BCN_RESULTS="$ra" ./target/release/run_all >/dev/null
+for f in "$ra"/*; do
+  cmp "$f" "results/$(basename "$f")"
+done
+
 # The suites include the scheduler/worker bit-identity checks
 # (scheduler_equivalence) and the zero-allocation gates (zero_alloc);
 # the bench smokes below only time.
