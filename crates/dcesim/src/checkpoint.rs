@@ -38,7 +38,7 @@ use crate::cp::{CpConfig, FbQuant};
 use crate::faults::{splitmix64, FaultConfig, FaultCounts};
 use crate::frame::CpId;
 use crate::metrics::SimMetrics;
-use crate::net::{Endpoint, FlowStats, NetConfig, NetReport};
+use crate::net::{CpSpec, Endpoint, FlowStats, NetConfig, NetReport, RpSpec};
 use crate::qcn::{QcnCpConfig, QcnRpConfig};
 use crate::rp::RpConfig;
 use crate::sched::Scheduler;
@@ -144,19 +144,7 @@ pub fn sim_config_digest(cfg: &SimConfig) -> u64 {
     }
     h = match &cfg.control {
         Control::Bcn { cp, rp } => mix_rp_config(mix_cp_config(mix(h, 1), cp), rp),
-        Control::Qcn { cp, rp } => {
-            let mut h = mix(h, 2);
-            h = mix_f(h, cp.q_eq_bits);
-            h = mix_f(h, cp.w);
-            h = mix(h, cp.sample_every);
-            h = mix_f(h, rp.gd);
-            h = mix_f(h, rp.bc_limit_bits);
-            h = mix(h, u64::from(rp.fr_cycles));
-            h = mix_f(h, rp.r_ai);
-            h = mix_f(h, rp.r_hai);
-            h = mix_f(h, rp.r_min);
-            mix_f(h, rp.r_max)
-        }
+        Control::Qcn { cp, rp } => mix_qcn_rp(mix_qcn_cp(mix(h, 2), cp), rp),
         Control::None => mix(h, 3),
     };
     h = mix_fault_plan(h, &cfg.faults);
@@ -206,6 +194,22 @@ fn mix_rp_config(mut h: u64, rp: &RpConfig) -> u64 {
     h
 }
 
+fn mix_qcn_cp(mut h: u64, cp: &QcnCpConfig) -> u64 {
+    h = mix_f(h, cp.q_eq_bits);
+    h = mix_f(h, cp.w);
+    mix(h, cp.sample_every)
+}
+
+fn mix_qcn_rp(mut h: u64, rp: &QcnRpConfig) -> u64 {
+    h = mix_f(h, rp.gd);
+    h = mix_f(h, rp.bc_limit_bits);
+    h = mix(h, u64::from(rp.fr_cycles));
+    h = mix_f(h, rp.r_ai);
+    h = mix_f(h, rp.r_hai);
+    h = mix_f(h, rp.r_min);
+    mix_f(h, rp.r_max)
+}
+
 /// Order-sensitive digest of a fully seeded [`NetConfig`] — the
 /// multi-hop counterpart of [`sim_config_digest`], folding topology
 /// (switches, routes, congestion points, links), flows, PAUSE policy,
@@ -224,7 +228,11 @@ fn net_config_digest(cfg: &NetConfig) -> u64 {
         }
         h = mix(h, sw.cps.len() as u64);
         for (link, cp) in &sw.cps {
-            h = mix_cp_config(mix(h, *link as u64), cp);
+            h = mix(h, *link as u64);
+            h = match cp {
+                CpSpec::Bcn(c) => mix_cp_config(mix(h, 1), c),
+                CpSpec::Qcn(c) => mix_qcn_cp(mix(h, 2), c),
+            };
         }
     }
     h = mix(h, cfg.links.len() as u64);
@@ -240,10 +248,17 @@ fn net_config_digest(cfg: &NetConfig) -> u64 {
         h = mix(h, f.dst_host as u64);
         h = mix_f(h, f.initial_rate);
         h = match &f.rp {
-            Some(rp) => mix_rp_config(mix(h, 1), rp),
+            Some(RpSpec::Bcn(rp)) => mix_rp_config(mix(h, 1), rp),
+            Some(RpSpec::Qcn(rp)) => mix_qcn_rp(mix(h, 2), rp),
             None => mix(h, 0),
         };
         h = mix(h, u64::from(f.priority));
+        h = mix(h, f.start.as_nanos());
+        h = match f.stop {
+            Some(t) => mix(mix(h, 1), t.as_nanos()),
+            None => mix(h, 0),
+        };
+        h = mix_opt_f(h, f.volume_bits);
     }
     h = mix_f(h, cfg.frame_bits);
     h = mix(h, cfg.t_end.as_nanos());
@@ -253,6 +268,11 @@ fn net_config_digest(cfg: &NetConfig) -> u64 {
     h = mix(h, u64::from(cfg.pause.per_priority));
     h = mix_fault_plan(h, &cfg.faults);
     h = mix(h, scheduler_tag(cfg.scheduler));
+    h = match cfg.observe {
+        Some(link) => mix(mix(h, 1), link as u64),
+        None => mix(h, 0),
+    };
+    h = mix(h, u64::from(cfg.pacing_jitter));
     h & MASK_53
 }
 
@@ -287,7 +307,10 @@ fn mix_batch<B: SeedBatch>(mut h: u64, cfg: &B, jitters: &[f64]) -> u64 {
 /// for its [`BatchCheckpoint`].
 #[must_use]
 pub fn net_batch_config_digest(cfg: &NetBatchConfig) -> u64 {
-    let h = mix(0x2545_f491_4f6c_dd1d, net_config_digest(&cfg.base));
+    // The salt names the engine semantics: it changed when ports began
+    // holding a frame until its serialization ends, so checkpoints of
+    // the earlier fabric engine are refused instead of merged.
+    let h = mix(0x6a09_e667_f3bc_c909, net_config_digest(&cfg.base));
     mix_batch(h, cfg, &[cfg.rate_jitter_frac]) & MASK_53
 }
 
@@ -1291,6 +1314,35 @@ mod tests {
         assert_mismatch(BatchCheckpoint::resume(&sim_dir, &net));
         let _ = fs::remove_dir_all(&sim_dir);
         let _ = fs::remove_dir_all(&net_dir);
+    }
+
+    /// Dumbbell outputs stayed bit-identical when the dumbbell moved onto
+    /// the shared packet engine, so its checkpoints stay resumable: the
+    /// digest of a fixed batch is pinned to its value from before.
+    #[test]
+    fn dumbbell_batch_digest_is_pinned() {
+        assert_eq!(batch_config_digest(&faulty_batch(4)), 3_180_273_570_423_342);
+    }
+
+    /// Fabric outputs changed with the port semantics (a frame holds its
+    /// buffer until its serialization ends), so a checkpoint written by
+    /// the earlier engine must be refused rather than merged with
+    /// new-engine seeds.
+    #[test]
+    fn fabric_checkpoints_of_the_earlier_engine_are_refused() {
+        const EARLIER_ENGINE_DIGEST: u64 = 271_580_047_485_318;
+        let cfg = net_faulty_batch(4);
+        assert_ne!(net_batch_config_digest(&cfg), EARLIER_ENGINE_DIGEST);
+        let dir = scratch("earlier-engine");
+        let mut text = schema_header();
+        text.push('\n');
+        Line::new(&mut text, "batch_manifest")
+            .uint("digest", EARLIER_ENGINE_DIGEST)
+            .uint("seeds", 4)
+            .end_line();
+        fs::write(dir.join(MANIFEST_FILE), text).expect("write manifest");
+        assert_mismatch(BatchCheckpoint::resume(&dir, &cfg));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   (`eq_frac`) it walks up to `max_legs` analytic legs per step, so
 //!   the terminal spiral — which straddles the line forever — can still
 //!   be fast-forwarded.
-//! * **Guards.** Structural guards (`Simulation::hybrid_quiescent`)
+//! * **Guards.** Structural guards (`NetSim::hybrid_quiescent`)
 //!   require fluid-calibrated BCN control, no faults, no PAUSE asserted
 //!   or in flight, and steady homogeneous flows. Dynamic guards keep
 //!   the queue inside `(q_margin_frac * q0, (1 - q_margin_frac) * qsc)`
@@ -31,7 +31,7 @@
 //!   record grid, credits delivery at capacity (the guards imply
 //!   `0 < q` throughout, so the server never idles), and re-seeds the
 //!   packet state from the fluid endpoint
-//!   (`Simulation::reseed_fluid`): regulator rates at the fair share,
+//!   (`NetSim::reseed_fluid`): regulator rates at the fair share,
 //!   the FIFO rebuilt to exactly `q` bits, the event set re-populated
 //!   through the stats-preserving scheduler clear. The rate-clamp
 //!   residue is carried so an immediate packet→fluid extraction
@@ -303,7 +303,7 @@ impl HybridSim {
         if !self.sim.step() {
             return false;
         }
-        if !self.guards.always_packet && self.sim.take_record_mark() {
+        if !self.guards.always_packet && self.sim.net.take_record_mark() {
             self.try_fast_forward();
         }
         true
@@ -341,10 +341,10 @@ impl HybridSim {
     /// Computes the packet/fluid time split and flushes the `hybrid.*`
     /// telemetry counters (once, off the hot path).
     fn flush_stats(&mut self) {
-        let horizon = self.sim.config().t_end.as_nanos();
+        let horizon = self.sim.net.config().t_end.as_nanos();
         self.stats.packet_ns = horizon.saturating_sub(self.stats.ff_ns);
         let s = self.stats;
-        if let Some(tel) = self.sim.telemetry_mut() {
+        if let Some(tel) = self.sim.net.telemetry_mut() {
             tel.hybrid_stats(s.reseeds, s.ff_ns, s.packet_ns);
         }
     }
@@ -354,19 +354,19 @@ impl HybridSim {
     /// as every guard holds, and commit the stretch as a fast-forward
     /// epoch if it is long enough to be worth a reseed.
     fn try_fast_forward(&mut self) {
-        if !self.sim.hybrid_quiescent() {
+        if !self.sim.net.hybrid_quiescent() {
             return;
         }
         let (dt, t_end) = {
-            let cfg = self.sim.config();
+            let cfg = self.sim.net.config();
             (cfg.record_interval, cfg.t_end)
         };
         let delta = dt.as_secs();
-        let t0 = self.sim.now();
+        let t0 = self.sim.net.now();
         let p = &self.params;
         let q_lo = self.guards.q_margin_frac * p.q0;
         let q_hi = (1.0 - self.guards.q_margin_frac) * p.qsc;
-        let [q, w_packet] = self.sim.fluid_state();
+        let [q, w_packet] = self.sim.net.fluid_state();
         if !(q > q_lo && q < q_hi) {
             return;
         }
@@ -425,15 +425,15 @@ impl HybridSim {
         for j in 0..steps as usize {
             t += dt;
             let [qj, wj] = self.scratch[j];
-            self.sim.hybrid_record_sample(t, qj, wj);
+            self.sim.net.hybrid_record_sample(t, qj, wj);
         }
-        self.sim.hybrid_credit_delivery((t1 - t0).as_secs());
+        self.sim.net.hybrid_credit_delivery((t1 - t0).as_secs());
         let epoch = u32::try_from(self.stats.epochs).unwrap_or(u32::MAX);
-        if let Some(tel) = self.sim.telemetry_mut() {
+        if let Some(tel) = self.sim.net.telemetry_mut() {
             tel.hybrid_epoch(t0.as_secs(), t1.as_secs(), epoch);
         }
         let [q1, w1] = self.scratch[steps as usize - 1];
-        self.residue = self.sim.reseed_fluid(t1, q1, w1);
+        self.residue = self.sim.net.reseed_fluid(t1, q1, w1);
         self.stats.epochs += 1;
         self.stats.reseeds += 1;
         self.stats.ff_ns += (t1 - t0).as_nanos();
@@ -480,10 +480,10 @@ mod tests {
                 break;
             }
         }
-        let t = sim.now();
+        let t = sim.net.now();
         for (q, w) in [(1.234e6, 0.97e9), (0.8e6, 1.02e9), (2.5e6 + 0.125, 9.99e8 + 0.25)] {
-            let residue = sim.reseed_fluid(t, q, w);
-            let [q2, w2] = sim.fluid_state();
+            let residue = sim.net.reseed_fluid(t, q, w);
+            let [q2, w2] = sim.net.fluid_state();
             assert_eq!(q2.to_bits(), q.to_bits(), "queue must round-trip bit-exactly");
             assert_eq!(
                 (w2 + residue).to_bits(),

@@ -20,11 +20,17 @@
 //!   regulator tags (RRT/CPID association).
 //! * [`qcn`] — the QCN (802.1Qau) congestion point and reaction point,
 //!   the BCN-paradigm successor, for comparison experiments.
-//! * [`sched`] — the future-event set behind both engines: a
+//! * [`sched`] — the future-event set behind the packet engine: a
 //!   hierarchical timing wheel with slab recycling (default) and the
 //!   reference binary heap, selectable per run and bit-identical.
-//! * [`sim`] — the event-driven engine wiring N sources through a single
-//!   bottleneck queue to a sink (the paper's Fig. 1 dumbbell).
+//! * [`net`] — the packet engine: hosts, output-queued switches and
+//!   links, per-port BCN/QCN congestion points, PAUSE/PFC, faults, and
+//!   the event loop every packet-level run goes through.
+//! * [`sim`] — the paper's Fig. 1 dumbbell (N sources, one bottleneck,
+//!   one sink): its description, lowered to a one-switch [`net`]
+//!   configuration, and a front end over the packet engine.
+//! * [`topo`] — generator fabrics (fat-tree, leaf-spine, …) compiled
+//!   to [`net`] configurations.
 //! * [`metrics`] — queue/rate time series, drop counters, throughput and
 //!   Jain fairness.
 //! * [`workload`] — flow descriptors: start/stop times, initial rates.

@@ -1,39 +1,54 @@
-//! Multi-hop DCE network engine: chained switches, per-link 802.3x
-//! PAUSE with its head-of-line blocking, and end-to-end BCN.
+//! The packet engine: hosts, output-queued switches and links, with
+//! per-port congestion points (BCN or QCN), end-to-end reaction points,
+//! per-link 802.3x PAUSE (or per-class PFC), fault injection and the
+//! timing-wheel event loop.
 //!
-//! The paper's Introduction motivates BCN with exactly this scenario:
-//! hop-by-hop PAUSE "cannot properly alleviate congestion ... because the
-//! congestion can roll back from switch to switch, affecting flows that
-//! do not contribute to the congestion, but happen to share a link with
-//! flows that do." This engine makes the claim testable: build a small
-//! topology with a congested leaf port and an innocent *victim* flow
-//! sharing only the trunk, then compare PAUSE-only against end-to-end
-//! BCN (see [`victim_topology`] and the `exp_pause_hol` experiment).
+//! Every packet-level run in the workspace goes through [`NetSim`]. The
+//! paper's Fig. 1 dumbbell is its one-switch case: [`crate::sim`] lowers
+//! a [`SimConfig`](crate::sim::SimConfig) to a [`NetConfig`] with one
+//! switch, zero-serialization uplinks and the bottleneck as the one
+//! observed port, and wraps this engine in the dumbbell front end. The
+//! generator fabrics of [`crate::topo`] and the switch chains below
+//! ([`victim_topology`], [`parking_lot_topology`]) are its multi-hop
+//! cases.
 //!
-//! The engine generalises [`crate::sim`]'s single-bottleneck model:
-//! hosts connect to switches over pause-able access links, switches have
-//! per-output-port FIFO queues, each port may host a BCN congestion
-//! point, and PAUSE propagates upstream link by link with its
-//! propagation delay.
+//! # Model
 //!
-//! Besides plain 802.3x PAUSE, the engine implements **priority flow
-//! control** (PFC, 802.1Qbb — the "priority-flow control" extension the
-//! paper's introduction lists among the DCE building blocks): frames
-//! carry a priority class, ports queue per class (round-robin service),
-//! and PAUSE can be asserted per class, so a congested storage class
-//! cannot stall an innocent class sharing the links — the cross-class
-//! half of the head-of-line-blocking problem (BCN remains necessary for
-//! victims *within* the congested class).
+//! * **Sources.** Each flow starts at its start time, paces fixed-size
+//!   frames at its reaction point's rate (optionally with ±2%
+//!   deterministic jitter), stops at its stop time or once its volume is
+//!   sent, and holds while its access link is paused.
+//! * **Ports.** A switch queues each frame at the output port its route
+//!   names, one FIFO per 802.1p class served round-robin. A frame counts
+//!   against its port's buffer until its serialization ends; the
+//!   departure event then forwards it (delivering it inline when the
+//!   next hop is its destination over a zero-delay link).
+//! * **Feedback.** A port's congestion point samples arrivals and sends
+//!   BCN messages or QCN feedback back to the sampled frame's source,
+//!   delayed by the flow's forward path delay; BCN messages pass the
+//!   fault layer first.
+//! * **PAUSE.** When a port's backlog (its class backlog under PFC)
+//!   passes the switch's `qsc_bits`, the switch pauses every incoming
+//!   link for one hold, at most once per hold. The paper's Introduction
+//!   motivates BCN with exactly this: PAUSE "cannot properly alleviate
+//!   congestion ... because the congestion can roll back from switch to
+//!   switch", and the victim and parking-lot chains make the claim
+//!   testable (see the `exp_pause_hol` experiment).
+//!
+//! Runs are deterministic: integer-nanosecond timestamps, a stable
+//! tie-break sequence number and seeded fault streams make every run
+//! reproducible bit for bit, on either scheduler backend.
 
 use std::collections::VecDeque;
 
-use telemetry::{FaultClass, SeriesKind, Telemetry};
+use telemetry::{FaultClass, SeriesKind, SpanKind, Telemetry};
 
 use crate::cp::{CongestionPoint, CpConfig};
 use crate::error::ConfigError;
 use crate::faults::{FaultConfig, FaultCounts, FaultPlan, FeedbackFate};
 use crate::frame::{BcnMessage, CpId, DataFrame, SourceId};
-use crate::metrics::TimeSeries;
+use crate::metrics::{SampleSet, SimMetrics, TimeSeries};
+use crate::qcn::{QcnCp, QcnCpConfig, QcnFeedback, QcnRp, QcnRpConfig};
 use crate::rp::{ReactionPoint, RpConfig};
 use crate::sched::{EventQueue, Scheduler};
 use crate::time::{Duration, Time};
@@ -57,10 +72,57 @@ pub struct LinkSpec {
     pub from: Endpoint,
     /// Receiving side.
     pub to: Endpoint,
-    /// Capacity in bit/s (serialization happens at the transmitter).
+    /// Capacity in bit/s (serialization happens at the transmitter);
+    /// `f64::INFINITY` serializes in zero time.
     pub capacity: f64,
     /// Propagation delay.
     pub delay: Duration,
+}
+
+/// A congestion-point configuration: the paper's BCN or QCN.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CpSpec {
+    /// BCN congestion point (paper Section II-B).
+    Bcn(CpConfig),
+    /// QCN (802.1Qau) congestion point.
+    Qcn(QcnCpConfig),
+}
+
+impl CpSpec {
+    /// Validates the wrapped configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the wrapped configuration's [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self {
+            CpSpec::Bcn(c) => c.validate(),
+            CpSpec::Qcn(c) => c.validate(),
+        }
+    }
+}
+
+/// A reaction-point configuration matching [`CpSpec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RpSpec {
+    /// BCN AIMD regulator (paper Eq. 2).
+    Bcn(RpConfig),
+    /// QCN regulator: feedback-driven decrease, byte-counter recovery.
+    Qcn(QcnRpConfig),
+}
+
+impl RpSpec {
+    /// Validates the wrapped configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the wrapped configuration's [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self {
+            RpSpec::Bcn(c) => c.validate(),
+            RpSpec::Qcn(c) => c.validate(),
+        }
+    }
 }
 
 /// One switch (output-queued: each output port has its own buffer).
@@ -73,9 +135,9 @@ pub struct SwitchSpec {
     /// Routing: for each destination host, the index (into the global
     /// link list) of the outgoing link to use.
     pub routes: Vec<(usize, usize)>,
-    /// BCN congestion points, one per outgoing link that should monitor
+    /// Congestion points, one per outgoing link that should monitor
     /// congestion: `(link index, config)`.
-    pub cps: Vec<(usize, CpConfig)>,
+    pub cps: Vec<(usize, CpSpec)>,
 }
 
 /// A flow: a rate-regulated source host sending to a destination host.
@@ -89,10 +151,17 @@ pub struct NetFlow {
     pub initial_rate: f64,
     /// Reaction-point configuration; `None` = fixed-rate (unmanaged)
     /// source.
-    pub rp: Option<RpConfig>,
+    pub rp: Option<RpSpec>,
     /// 802.1p priority class (0..8); classes are queued separately and
     /// paused separately under PFC.
     pub priority: u8,
+    /// When the source starts sending.
+    pub start: Time,
+    /// When the source stops (`None` = runs to the horizon).
+    pub stop: Option<Time>,
+    /// The flow ends once it has sent this many bits (`None` = no
+    /// volume limit).
+    pub volume_bits: Option<f64>,
 }
 
 /// Whether per-link PAUSE is active and how long one assertion holds.
@@ -132,6 +201,117 @@ pub struct NetConfig {
     /// Which event-queue backend drives the run (bit-identical results;
     /// see [`Scheduler`]).
     pub scheduler: Scheduler,
+    /// The switch output port (named by its outgoing link) whose
+    /// bottleneck observables — per-frame queueing delay, aggregate and
+    /// per-flow rate series — the run records. `None` records none of
+    /// them.
+    pub observe: Option<usize>,
+    /// Deterministic ±2% per-flow pacing jitter (the discrete analogue
+    /// of NIC clock skew).
+    pub pacing_jitter: bool,
+}
+
+impl NetConfig {
+    /// Validates every scalar field and sub-configuration (topology and
+    /// routes are checked by [`NetSim::try_new`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first invalid field: a
+    /// non-positive frame size, link capacity or record interval, a
+    /// switch buffer smaller than one frame, a flow rate or volume that
+    /// is not finite and non-negative, a priority outside `0..8`, or an
+    /// invalid congestion-point, reaction-point or fault configuration.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check_frame(self.frame_bits)?;
+        for (i, l) in self.links.iter().enumerate() {
+            // +inf is allowed: a zero-serialization link.
+            if l.capacity.is_nan() || l.capacity <= 0.0 {
+                return Err(ConfigError::new(
+                    "links.capacity",
+                    format!("link {i} capacity must be positive, got {}", l.capacity),
+                ));
+            }
+        }
+        for (si, sw) in self.switches.iter().enumerate() {
+            check_buffer(si, sw.buffer_bits, self.frame_bits)?;
+            for (_, cp) in &sw.cps {
+                cp.validate()?;
+            }
+        }
+        for (i, f) in self.flows.iter().enumerate() {
+            check_flow(i, f.initial_rate, f.volume_bits, f.priority)?;
+            if let Some(rp) = &f.rp {
+                rp.validate()?;
+            }
+        }
+        check_record_interval(self.record_interval)?;
+        self.faults.validate()
+    }
+}
+
+// The field checks behind `NetConfig::validate`, shared with the
+// dumbbell front end (`SimConfig::validate`) so it validates its own
+// fields without building the lowered configuration.
+
+pub(crate) fn check_frame(frame_bits: f64) -> Result<(), ConfigError> {
+    if frame_bits.is_finite() && frame_bits > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::new("frame_bits", "frame size must be positive"))
+    }
+}
+
+pub(crate) fn check_buffer(
+    si: usize,
+    buffer_bits: f64,
+    frame_bits: f64,
+) -> Result<(), ConfigError> {
+    if buffer_bits.is_finite() && buffer_bits >= frame_bits {
+        Ok(())
+    } else {
+        Err(ConfigError::new(
+            "buffer_bits",
+            format!("switch {si} buffer must hold at least one frame"),
+        ))
+    }
+}
+
+pub(crate) fn check_flow(
+    i: usize,
+    initial_rate: f64,
+    volume_bits: Option<f64>,
+    priority: u8,
+) -> Result<(), ConfigError> {
+    if !(initial_rate.is_finite() && initial_rate >= 0.0) {
+        return Err(ConfigError::new(
+            "flows.initial_rate",
+            format!("flow {i} rate must be finite and non-negative, got {initial_rate}"),
+        ));
+    }
+    if let Some(v) = volume_bits {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(ConfigError::new(
+                "flows.volume_bits",
+                format!("flow {i} volume must be finite and non-negative, got {v}"),
+            ));
+        }
+    }
+    if usize::from(priority) >= N_PRIORITIES {
+        return Err(ConfigError::new(
+            "flows.priority",
+            format!("flow {i} priority {priority} outside 0..{N_PRIORITIES}"),
+        ));
+    }
+    Ok(())
+}
+
+pub(crate) fn check_record_interval(d: Duration) -> Result<(), ConfigError> {
+    if d == Duration::ZERO {
+        Err(ConfigError::new("record_interval", "record interval must be positive"))
+    } else {
+        Ok(())
+    }
 }
 
 /// Per-flow outcome.
@@ -154,7 +334,7 @@ pub struct NetReport {
     pub switch_queues: Vec<TimeSeries>,
     /// PAUSE assertions per link (indexed like the config's links).
     pub pause_counts: Vec<u64>,
-    /// Total BCN messages delivered.
+    /// Total feedback messages (BCN and QCN) delivered.
     pub feedback_messages: u64,
     /// Injected-fault tallies (all zero for a fault-free run).
     pub faults: FaultCounts,
@@ -178,85 +358,220 @@ impl NetReport {
     }
 }
 
+/// The fields of a flow the per-frame path reads.
+#[derive(Debug, Clone, Copy)]
+struct FlowRt {
+    /// Time a frame takes to reach the far end of the access link
+    /// (serialization of one frame plus propagation).
+    access_delay: Duration,
+    /// Volume limit (`+inf` = none).
+    volume_bits: f64,
+    /// Far end of the access link.
+    to: Endpoint,
+    uplink: u32,
+    dst: u32,
+    priority: u8,
+}
+
 #[derive(Debug, Clone)]
 struct NetFrame {
-    flow: usize,
     bits: f64,
     rrt: Option<CpId>,
+    flow: u32,
     priority: u8,
 }
 
 #[derive(Debug, Clone)]
 enum Ev {
+    FlowStart(usize),
+    FlowStop(usize),
     HostSend(usize),
-    Arrive { link: usize, frame: NetFrame },
-    PortTx { switch: usize, port: usize },
-    Feedback { flow: usize, msg: BcnMessage },
-    PauseAt { link: usize, priority: Option<u8>, until: Time },
+    /// A frame reaches the far end of a link into a switch.
+    ArriveSwitch {
+        switch: u32,
+        frame: NetFrame,
+    },
+    /// A frame reaches the far end of a link into a host.
+    ArriveHost {
+        host: u32,
+        frame: NetFrame,
+    },
+    /// The head frame of the port's serving class finished serializing.
+    Departure {
+        port: u32,
+    },
+    /// Every backlogged class of the port was paused; retry.
+    Resume {
+        port: u32,
+    },
+    Feedback {
+        flow: usize,
+        msg: BcnMessage,
+    },
+    QcnFeedback {
+        flow: usize,
+        fb: QcnFeedback,
+    },
+    /// A PAUSE reaches the incoming links `incoming_links[from..to]`
+    /// (one event per run of equal-delay links into the switch).
+    PauseAt {
+        from: u32,
+        to: u32,
+        priority: Option<u8>,
+        until: Time,
+    },
     Record,
 }
 
+enum Cp {
+    Bcn(CongestionPoint),
+    Qcn(QcnCp),
+}
+
+enum Rp {
+    Bcn(ReactionPoint),
+    Qcn(QcnRp),
+}
+
+impl Rp {
+    fn rate(&self) -> f64 {
+        match self {
+            Rp::Bcn(rp) => rp.rate(),
+            Rp::Qcn(rp) => rp.rate(),
+        }
+    }
+}
+
 struct Port {
-    link: usize,
+    link: u32,
+    /// Bit `c` is set while class `c`'s FIFO is non-empty.
+    backlogged: u8,
+    /// Round-robin pointer over the classes.
+    rr_next: u8,
+    /// The class whose head frame is serializing (valid while a
+    /// `Departure` is pending).
+    serving: u8,
+    busy: bool,
+    /// Far end and propagation delay of `link`.
+    to: Endpoint,
+    delay: Duration,
+    /// Copies of the owning switch's buffer and PAUSE threshold.
+    buffer_bits: f64,
+    qsc_bits: f64,
     /// One FIFO per priority class, served round-robin.
     queues: [VecDeque<NetFrame>; N_PRIORITIES],
-    /// Backlog per priority class (bits).
-    backlog_by_class: [f64; N_PRIORITIES],
-    /// Round-robin pointer over the classes.
-    rr_next: usize,
-    busy: bool,
-    cp: Option<CongestionPoint>,
+    /// Backlog (bits), including the frame in service.
+    backlog: f64,
+    /// The same per priority class (PFC thresholds on it).
+    class_backlog: [f64; N_PRIORITIES],
+    /// Serialization time of a full frame on the port's link.
+    frame_ser: Duration,
+    /// Per-frame observables, on the observed port only.
+    obs: Option<Box<PortObs>>,
+    cp: Option<Box<Cp>>,
 }
 
 impl Port {
-    fn backlog_bits(&self) -> f64 {
-        self.backlog_by_class.iter().sum()
+    fn enqueue(&mut self, frame: NetFrame) {
+        let cls = usize::from(frame.priority);
+        self.backlog += frame.bits;
+        self.class_backlog[cls] += frame.bits;
+        self.queues[cls].push_back(frame);
+        self.backlogged |= 1 << cls;
+    }
+
+    /// Removes the serving class's head frame.
+    fn dequeue(&mut self) -> NetFrame {
+        let cls = usize::from(self.serving);
+        let frame = self.queues[cls].pop_front().expect("departure from an empty class");
+        if self.queues[cls].is_empty() {
+            self.backlogged &= !(1 << cls);
+        }
+        self.backlog -= frame.bits;
+        self.class_backlog[cls] -= frame.bits;
+        frame
     }
 }
 
 struct SwitchState {
     spec: SwitchSpec,
-    ports: Vec<Port>,
+    /// This switch's output ports: `NetSim::ports[ports]`.
+    ports: std::ops::Range<usize>,
     last_pause: Option<Time>,
 }
 
-impl SwitchState {
-    fn total_backlog(&self) -> f64 {
-        self.ports.iter().map(Port::backlog_bits).sum()
+/// The observed port's bottleneck observables ([`NetConfig::observe`]).
+struct Observed {
+    switch: usize,
+    port: usize,
+    /// Rate series and PAUSE assertions; `finish` fills in the rest.
+    metrics: SimMetrics,
+}
+
+/// The per-frame half of the observables, kept on the observed port
+/// itself so the frame path reaches it through the port it already
+/// holds.
+struct PortObs {
+    /// Enqueue time of every queued frame, per class.
+    enqueued: [VecDeque<Time>; N_PRIORITIES],
+    delivered_frames: u64,
+    delivered_bits: f64,
+    queueing_delay: SampleSet,
+}
+
+/// The reusable allocation footprint of a [`NetSim`]: the event queue's
+/// slab/heap buffer, the port FIFOs and the fault scratch list. Thread
+/// one through [`NetSim::try_new_in`] and [`NetSim::finish_into`] to run
+/// many seeds without re-allocating per run (`dcesim::batch` does this).
+#[derive(Debug, Default)]
+pub struct NetWorkspace {
+    events: EventQueue<Ev>,
+    queues: Vec<VecDeque<NetFrame>>,
+    fault_scratch: Vec<FaultClass>,
+}
+
+impl NetWorkspace {
+    /// An empty workspace.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
-/// The multi-hop simulation engine.
+/// The packet engine.
 pub struct NetSim {
     cfg: NetConfig,
     events: EventQueue<Ev>,
     now: Time,
     switches: Vec<SwitchState>,
+    /// Every switch's output ports, switch by switch.
+    ports: Vec<Port>,
     /// Number of hosts (stride of `route_table`).
     n_hosts: usize,
     /// Flat next-hop table: `route_table[si * n_hosts + dst]` is the
-    /// output *port* index on switch `si` for destination host `dst`
-    /// (`NO_ROUTE` = none). Built once from the per-switch route lists;
-    /// the per-frame path is a single indexed load instead of the old
-    /// `routes.iter().find(...)` linear scan.
+    /// output port (index into `ports`) of switch `si` for destination
+    /// host `dst`
+    /// (`NO_ROUTE` = none). Built once from the per-switch route lists,
+    /// so the per-frame path is a single indexed load.
     route_table: Vec<u32>,
-    /// CSR layout of the links terminating at each switch: switch `si`
-    /// owns `incoming_links[incoming_off[si]..incoming_off[si + 1]]`.
-    /// One flat allocation instead of the old `Vec<Vec<usize>>` (hoisted
-    /// out of the PAUSE path, which used to collect this per assertion).
+    /// CSR layout of the links terminating at each switch, each
+    /// switch's slice ordered by link delay: switch `si` owns
+    /// `incoming_links[incoming_off[si]..incoming_off[si + 1]]`.
     incoming_off: Vec<u32>,
     incoming_links: Vec<u32>,
     /// Pause state per link and priority class, read by the transmitter
     /// (plain PAUSE sets every class).
     link_paused_until: Vec<[Time; N_PRIORITIES]>,
-    rps: Vec<Option<ReactionPoint>>,
-    flow_rates_fixed: Vec<f64>,
+    rps: Vec<Option<Rp>>,
+    active: Vec<bool>,
+    sending_scheduled: Vec<bool>,
+    sent_bits: Vec<f64>,
     stats: Vec<FlowStats>,
     switch_queues: Vec<TimeSeries>,
     pause_counts: Vec<u64>,
     feedback_messages: u64,
-    /// Outgoing access link per host (computed from the link list).
-    host_uplink: Vec<Option<usize>>,
+    /// The per-frame view of each flow, packed for the hot path.
+    flow_rt: Vec<FlowRt>,
     /// Path delay from each flow's congestion points back to its source:
     /// approximated as the forward path delay (symmetric routes).
     feedback_delay: Vec<Duration>,
@@ -265,6 +580,16 @@ pub struct NetSim {
     faults: FaultPlan,
     fault_scratch: Vec<FaultClass>,
     telemetry: Option<Telemetry>,
+    /// Open flow-lifetime span ids, 0 when the flow has none.
+    flow_spans: Vec<u64>,
+    /// `PauseAt` events scheduled but not yet delivered — the hybrid
+    /// engine's guard must see in-flight PAUSEs, not just asserted ones.
+    pending_pauses: u32,
+    /// Set by the `Record` dispatch arm, consumed by `take_record_mark`:
+    /// the hybrid engine's epoch controller runs exactly at record-grid
+    /// ticks.
+    record_just_fired: bool,
+    observed: Option<Observed>,
 }
 
 impl std::fmt::Debug for NetSim {
@@ -293,18 +618,30 @@ impl NetSim {
         }
     }
 
-    /// Builds the engine, validating the configuration: every link
-    /// endpoint must exist, every switch may only route over links it
-    /// owns, and — so a misrouted flow fails here instead of silently
-    /// dropping every frame at forward time — every flow's path must
-    /// actually reach its destination host, loop-free.
+    /// Builds the engine, validating the configuration: every scalar
+    /// field ([`NetConfig::validate`]), every link endpoint, every route
+    /// (a switch may only route over links it owns), the observed port,
+    /// and — so a misrouted flow fails here instead of silently dropping
+    /// every frame at forward time — every flow's path, which must reach
+    /// its destination host loop-free.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming the offending flow, switch, or
-    /// link on any of the inconsistencies above.
-    pub fn try_new(mut cfg: NetConfig) -> Result<Self, ConfigError> {
-        cfg.faults.validate()?;
+    /// Returns a [`ConfigError`] naming the offending field, flow,
+    /// switch, or link on any of the inconsistencies above.
+    pub fn try_new(cfg: NetConfig) -> Result<Self, ConfigError> {
+        Self::try_new_in(cfg, &mut NetWorkspace::new())
+    }
+
+    /// [`try_new`](Self::try_new) reusing the buffers of `ws`. Pair with
+    /// [`finish_into`](Self::finish_into) so batched runs keep one
+    /// allocation footprint across seeds.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`try_new`](Self::try_new).
+    pub fn try_new_in(mut cfg: NetConfig, ws: &mut NetWorkspace) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let n_switches = cfg.switches.len();
         for (i, l) in cfg.links.iter().enumerate() {
             for (end, name) in [(l.from, "from"), (l.to, "to")] {
@@ -332,38 +669,57 @@ impl NetSim {
             }
         }
         // Everything that needed the full config is done; move the
-        // switch specs out so each `SwitchState` owns its spec without
-        // the old per-run `spec.clone()`.
+        // switch specs out so each `SwitchState` owns its spec. Port
+        // FIFOs come from the workspace in a fixed order, so a rerun of
+        // the same configuration gets back the same warm buffers.
+        // Each switch's outgoing links, in link order.
+        let mut out_links: Vec<Vec<usize>> = vec![Vec::new(); n_switches];
+        for (li, l) in cfg.links.iter().enumerate() {
+            if let Endpoint::Switch(si) = l.from {
+                out_links[si].push(li);
+            }
+        }
+        let mut pool = ws.queues.drain(..);
+        let mut ports: Vec<Port> = Vec::new();
+        // `link_port[li]`: the port transmitting on link `li`, if any.
+        let mut link_port = vec![NO_ROUTE; cfg.links.len()];
         let switches: Vec<SwitchState> = std::mem::take(&mut cfg.switches)
             .into_iter()
-            .enumerate()
-            .map(|(si, spec)| {
-                let ports: Vec<Port> = cfg
-                    .links
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.from == Endpoint::Switch(si))
-                    .map(|(li, _)| {
-                        let cp = spec
-                            .cps
-                            .iter()
-                            .find(|(link, _)| *link == li)
-                            .map(|(_, c)| CongestionPoint::new(*c));
-                        Port {
-                            link: li,
-                            queues: std::array::from_fn(|_| VecDeque::new()),
-                            backlog_by_class: [0.0; N_PRIORITIES],
-                            rr_next: 0,
-                            busy: false,
-                            cp,
-                        }
-                    })
-                    .collect();
-                SwitchState { spec, ports, last_pause: None }
+            .zip(out_links)
+            .map(|(spec, out)| {
+                let first = ports.len();
+                for li in out {
+                    let l = &cfg.links[li];
+                    let cp = spec.cps.iter().find(|(link, _)| *link == li).map(|(_, c)| {
+                        Box::new(match *c {
+                            CpSpec::Bcn(c) => Cp::Bcn(CongestionPoint::new(c)),
+                            CpSpec::Qcn(c) => Cp::Qcn(QcnCp::new(c)),
+                        })
+                    });
+                    link_port[li] = ports.len() as u32;
+                    ports.push(Port {
+                        link: li as u32,
+                        backlogged: 0,
+                        rr_next: 0,
+                        serving: 0,
+                        busy: false,
+                        to: l.to,
+                        delay: l.delay,
+                        buffer_bits: spec.buffer_bits,
+                        qsc_bits: spec.qsc_bits,
+                        queues: std::array::from_fn(|_| pool.next().unwrap_or_default()),
+                        backlog: 0.0,
+                        class_backlog: [0.0; N_PRIORITIES],
+                        frame_ser: Duration::serialization(cfg.frame_bits, l.capacity),
+                        obs: None,
+                        cp,
+                    });
+                }
+                SwitchState { spec, ports: first..ports.len(), last_pause: None }
             })
             .collect();
-        // Flat next-hop table (first match wins, like the old linear
-        // scan over the route list).
+        drop(pool);
+        // Flat next-hop table (first match wins).
         let mut route_table = vec![NO_ROUTE; n_switches * cfg.hosts];
         for (si, sw) in switches.iter().enumerate() {
             for &(dst, link) in &sw.spec.routes {
@@ -373,19 +729,21 @@ impl NetSim {
                         format!("switch {si} routes unknown host {dst} (hosts: {})", cfg.hosts),
                     ));
                 }
-                let Some(port) = sw.ports.iter().position(|p| p.link == link) else {
+                let port = link_port.get(link).copied().unwrap_or(NO_ROUTE) as usize;
+                if !sw.ports.contains(&port) {
                     return Err(ConfigError::new(
                         "switches",
                         format!("switch {si} routes via link {link} it does not own"),
                     ));
-                };
+                }
                 let slot = &mut route_table[si * cfg.hosts + dst];
                 if *slot == NO_ROUTE {
                     *slot = port as u32;
                 }
             }
         }
-        // CSR of incoming links per switch.
+        // CSR of incoming links per switch, each slice stably sorted by
+        // link delay so one PAUSE event covers a run of equal delays.
         let mut incoming_off = vec![0u32; n_switches + 1];
         for l in &cfg.links {
             if let Endpoint::Switch(si) = l.to {
@@ -403,9 +761,14 @@ impl NetSim {
                 cursor[si] += 1;
             }
         }
-        let mut rps = Vec::with_capacity(cfg.flows.len());
-        let mut fixed = Vec::with_capacity(cfg.flows.len());
-        let mut feedback_delay = Vec::with_capacity(cfg.flows.len());
+        for si in 0..n_switches {
+            let slice =
+                &mut incoming_links[incoming_off[si] as usize..incoming_off[si + 1] as usize];
+            slice.sort_by_key(|&li| cfg.links[li as usize].delay);
+        }
+        let n_flows = cfg.flows.len();
+        let mut rps = Vec::with_capacity(n_flows);
+        let mut feedback_delay = Vec::with_capacity(n_flows);
         for (fi, flow) in cfg.flows.iter().enumerate() {
             if flow.src_host >= cfg.hosts || flow.dst_host >= cfg.hosts {
                 return Err(ConfigError::new(
@@ -422,11 +785,14 @@ impl NetSim {
                     format!("flow {fi} source host {} has no uplink", flow.src_host),
                 ));
             }
-            rps.push(flow.rp.map(|c| ReactionPoint::new(c, flow.initial_rate)));
-            fixed.push(flow.initial_rate);
+            rps.push(flow.rp.map(|rp| match rp {
+                RpSpec::Bcn(c) => Rp::Bcn(ReactionPoint::new(c, flow.initial_rate)),
+                RpSpec::Qcn(c) => Rp::Qcn(QcnRp::new(c, flow.initial_rate)),
+            }));
             feedback_delay.push(walk_path(
                 &cfg,
-                &switches,
+                n_switches,
+                &ports,
                 &route_table,
                 &host_uplink,
                 fi,
@@ -434,39 +800,86 @@ impl NetSim {
                 flow.dst_host,
             )?);
         }
+        let records = (cfg.t_end.as_secs() / cfg.record_interval.as_secs()).ceil() as usize + 2;
+        let observed = match cfg.observe {
+            None => None,
+            Some(link) => {
+                let port = match cfg.links.get(link).map(|l| l.from) {
+                    Some(Endpoint::Switch(si)) => Some((si, link_port[link] as usize)),
+                    _ => None,
+                };
+                let Some((si, pi)) = port else {
+                    return Err(ConfigError::new(
+                        "observe",
+                        format!("observed link {link} is not a switch output port"),
+                    ));
+                };
+                let (observed, port_obs) =
+                    Observed::new(&cfg, si, pi, switches[si].spec.buffer_bits, records);
+                ports[pi].obs = Some(Box::new(port_obs));
+                Some(observed)
+            }
+        };
 
-        let n_flows = cfg.flows.len();
         let n_links = cfg.links.len();
+        let mut events = std::mem::take(&mut ws.events);
+        events.reset(cfg.scheduler);
+        let mut fault_scratch = std::mem::take(&mut ws.fault_scratch);
+        fault_scratch.clear();
         let mut sim = Self {
-            events: EventQueue::new(cfg.scheduler),
+            events,
             now: Time::ZERO,
             switches,
+            ports,
             n_hosts: cfg.hosts,
             route_table,
             incoming_off,
             incoming_links,
             link_paused_until: vec![[Time::ZERO; N_PRIORITIES]; n_links],
             rps,
-            flow_rates_fixed: fixed,
+            active: vec![false; n_flows],
+            sending_scheduled: vec![false; n_flows],
+            sent_bits: vec![0.0; n_flows],
             stats: vec![FlowStats::default(); n_flows],
             switch_queues: vec![TimeSeries::new(); n_switches],
             pause_counts: vec![0; n_links],
             feedback_messages: 0,
-            host_uplink,
+            flow_rt: cfg
+                .flows
+                .iter()
+                .map(|f| {
+                    let uplink = host_uplink[f.src_host].expect("checked above");
+                    let l = &cfg.links[uplink];
+                    FlowRt {
+                        access_delay: Duration::serialization(cfg.frame_bits, l.capacity) + l.delay,
+                        volume_bits: f.volume_bits.unwrap_or(f64::INFINITY),
+                        to: l.to,
+                        uplink: uplink as u32,
+                        dst: f.dst_host as u32,
+                        priority: f.priority,
+                    }
+                })
+                .collect(),
             feedback_delay,
             jitter_state: (0..n_flows).map(|i| 0x9E37_79B9_7F4A_7C15 ^ (i as u64)).collect(),
             faults: FaultPlan::new(cfg.faults.clone()),
-            fault_scratch: Vec::new(),
+            fault_scratch,
             telemetry: None,
+            flow_spans: vec![0; n_flows],
+            pending_pauses: 0,
+            record_just_fired: false,
+            observed,
             cfg,
         };
-        let records =
-            (sim.cfg.t_end.as_secs() / sim.cfg.record_interval.as_secs()).ceil() as usize + 2;
         for series in &mut sim.switch_queues {
             series.reserve(records);
         }
         for fi in 0..n_flows {
-            sim.schedule(Time::from_nanos(fi as u64 + 1), Ev::HostSend(fi));
+            let start = sim.cfg.flows[fi].start;
+            sim.schedule(start, Ev::FlowStart(fi));
+            if let Some(stop) = sim.cfg.flows[fi].stop {
+                sim.schedule(stop, Ev::FlowStop(fi));
+            }
         }
         sim.schedule(Time::ZERO, Ev::Record);
         Ok(sim)
@@ -502,8 +915,13 @@ impl NetSim {
     fn flow_rate(&self, fi: usize) -> f64 {
         match &self.rps[fi] {
             Some(rp) => rp.rate(),
-            None => self.flow_rates_fixed[fi],
+            None => self.cfg.flows[fi].initial_rate,
         }
+    }
+
+    /// Sum of the active flows' rates, in flow order.
+    fn aggregate_rate(&self) -> f64 {
+        (0..self.cfg.flows.len()).filter(|&i| self.active[i]).map(|i| self.flow_rate(i)).sum()
     }
 
     /// Runs to completion.
@@ -532,6 +950,12 @@ impl NetSim {
         self.now
     }
 
+    /// The run configuration (switch specs excepted: each switch's
+    /// spec moved into the engine at construction).
+    pub(crate) fn config(&self) -> &NetConfig {
+        &self.cfg
+    }
+
     /// Events dispatched so far (the supervision budget currency).
     #[must_use]
     pub fn events_popped(&self) -> u64 {
@@ -541,11 +965,36 @@ impl NetSim {
     /// Finalises the report after [`step`](Self::step) returns `false`.
     #[must_use]
     pub fn finish(mut self) -> NetReport {
-        for (fi, stat) in self.stats.iter_mut().enumerate() {
-            stat.final_rate = match &self.rps[fi] {
-                Some(rp) => rp.rate(),
-                None => self.flow_rates_fixed[fi],
-            };
+        self.finalize().0
+    }
+
+    /// [`finish`](Self::finish), returning the engine's buffers to `ws`
+    /// for the next run.
+    #[must_use]
+    pub fn finish_into(mut self, ws: &mut NetWorkspace) -> NetReport {
+        let report = self.finalize().0;
+        self.recycle(ws);
+        report
+    }
+
+    /// Returns the event queue, fault scratch list and port FIFOs (in
+    /// port and class order) to `ws`.
+    fn recycle(mut self, ws: &mut NetWorkspace) {
+        ws.events = self.events;
+        ws.fault_scratch = self.fault_scratch;
+        for port in &mut self.ports {
+            for q in &mut port.queues {
+                q.clear();
+                ws.queues.push(std::mem::take(q));
+            }
+        }
+    }
+
+    /// Finalises the run into its report; the second half is the
+    /// observed port's metrics, when the config names one.
+    fn finalize(&mut self) -> (NetReport, Option<SimMetrics>) {
+        for fi in 0..self.stats.len() {
+            self.stats[fi].final_rate = self.flow_rate(fi);
         }
         if let Some(tel) = self.telemetry.as_mut() {
             let st = self.events.stats();
@@ -557,25 +1006,99 @@ impl NetSim {
                 st.max_pending,
             );
         }
-        NetReport {
-            flows: self.stats,
-            switch_queues: self.switch_queues,
-            pause_counts: self.pause_counts,
+        let mut switch_queues = std::mem::take(&mut self.switch_queues);
+        let faults = self.faults.take_counts();
+        let metrics = self.observed.take().map(|obs| {
+            let mut m = obs.metrics;
+            if let Some(o) = self.ports[obs.port].obs.take() {
+                m.delivered_frames = o.delivered_frames;
+                m.delivered_bits = o.delivered_bits;
+                m.queueing_delay = o.queueing_delay;
+            }
+            m.queue = std::mem::take(&mut switch_queues[obs.switch]);
+            m.dropped_frames = self.stats.iter().map(|s| s.dropped_frames).sum();
+            m.feedback_messages = self.feedback_messages;
+            m.per_source_bits = self.stats.iter().map(|s| s.delivered_bits).collect();
+            m.faults = faults.clone();
+            m
+        });
+        let report = NetReport {
+            flows: std::mem::take(&mut self.stats),
+            switch_queues,
+            pause_counts: std::mem::take(&mut self.pause_counts),
             feedback_messages: self.feedback_messages,
-            faults: self.faults.take_counts(),
+            faults,
             telemetry: self.telemetry.take(),
+        };
+        (report, metrics)
+    }
+
+    /// Finalises a run whose config names an observed port into the
+    /// dumbbell's report parts: the bottleneck metrics (queue series of
+    /// the port's switch), the final regulator rates, and the telemetry
+    /// shard.
+    pub(crate) fn finish_observed(
+        mut self,
+        ws: &mut NetWorkspace,
+    ) -> (SimMetrics, Vec<f64>, Option<Telemetry>) {
+        let (report, metrics) = self.finalize();
+        self.recycle(ws);
+        let metrics = metrics.expect("the dumbbell lowering names its bottleneck port");
+        let final_rates = report.flows.iter().map(|f| f.final_rate).collect();
+        (metrics, final_rates, report.telemetry)
+    }
+
+    /// Closes flow `fi`'s lifetime span, if one is open. Flows still
+    /// active at the horizon keep their span open — the open-span stack
+    /// is exactly "what was running", which is what the crash flight
+    /// recorder wants to capture.
+    fn end_flow_span(&mut self, fi: usize) {
+        let id = std::mem::take(&mut self.flow_spans[fi]);
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.span_end(self.now.as_secs(), id);
         }
     }
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
+            Ev::FlowStart(fi) => {
+                self.active[fi] = true;
+                if let Some(tel) = self.telemetry.as_mut() {
+                    let parent = tel.root_span();
+                    self.flow_spans[fi] = tel.span_begin(
+                        self.now.as_secs(),
+                        SpanKind::FlowLifetime,
+                        fi as u32,
+                        parent,
+                    );
+                }
+                if !self.sending_scheduled[fi] {
+                    self.sending_scheduled[fi] = true;
+                    // Deterministic per-flow offset breaks simultaneity.
+                    self.schedule(self.now + Duration::from_nanos(fi as u64 + 1), Ev::HostSend(fi));
+                }
+            }
+            Ev::FlowStop(fi) => {
+                self.active[fi] = false;
+                self.end_flow_span(fi);
+            }
             Ev::HostSend(fi) => self.on_host_send(fi),
-            Ev::Arrive { link, frame } => self.on_arrive(link, frame),
-            Ev::PortTx { switch, port } => self.on_port_tx(switch, port),
+            Ev::ArriveSwitch { switch, frame } => {
+                if !self.lost_on_wire(&frame) {
+                    self.switch_ingress(switch as usize, frame);
+                }
+            }
+            Ev::ArriveHost { host, frame } => {
+                if !self.lost_on_wire(&frame) {
+                    self.deliver(host as usize, &frame);
+                }
+            }
+            Ev::Departure { port } => self.on_departure(port as usize),
+            Ev::Resume { port } => self.start_tx(port as usize),
             Ev::Feedback { flow, msg } => {
                 // A corrupted DA can point outside the flow set; such
                 // misaddressed feedback dies on delivery.
-                if let Some(Some(rp)) = self.rps.get_mut(flow) {
+                if let Some(Some(Rp::Bcn(rp))) = self.rps.get_mut(flow) {
                     rp.on_bcn(&msg);
                     self.feedback_messages += 1;
                     if let Some(tel) = self.telemetry.as_mut() {
@@ -583,160 +1106,259 @@ impl NetSim {
                     }
                 }
             }
-            Ev::PauseAt { link, priority, until } => match priority {
-                Some(cls) => {
-                    let slot = &mut self.link_paused_until[link][cls as usize];
-                    *slot = (*slot).max(until);
-                }
-                None => {
-                    for slot in &mut self.link_paused_until[link] {
-                        *slot = (*slot).max(until);
-                    }
-                }
-            },
-            Ev::Record => {
-                for (si, sw) in self.switches.iter().enumerate() {
-                    let backlog = sw.total_backlog();
-                    self.switch_queues[si].push(self.now, backlog);
+            Ev::QcnFeedback { flow, fb } => {
+                if let Some(Some(Rp::Qcn(rp))) = self.rps.get_mut(flow) {
+                    rp.on_feedback(&fb);
+                    self.feedback_messages += 1;
                     if let Some(tel) = self.telemetry.as_mut() {
-                        tel.queue_sample_entity(self.now.as_secs(), si as u32, backlog);
+                        tel.qcn_message(self.now.as_secs(), fb.fb, flow as u32);
                     }
                 }
-                if self.telemetry.is_some() {
-                    for fi in 0..self.cfg.flows.len() {
-                        let rate = self.flow_rate(fi);
-                        let now = self.now.as_secs();
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.series_sample(SeriesKind::FlowRate, fi as u32, now, rate);
+            }
+            Ev::PauseAt { from, to, priority, until } => {
+                self.pending_pauses -= 1;
+                for k in from as usize..to as usize {
+                    let slots = &mut self.link_paused_until[self.incoming_links[k] as usize];
+                    match priority {
+                        Some(cls) => {
+                            let slot = &mut slots[cls as usize];
+                            *slot = (*slot).max(until);
+                        }
+                        None => {
+                            for slot in slots {
+                                *slot = (*slot).max(until);
+                            }
                         }
                     }
                 }
-                if self.now + self.cfg.record_interval <= self.cfg.t_end {
-                    self.schedule(self.now + self.cfg.record_interval, Ev::Record);
+            }
+            Ev::Record => self.on_record(),
+        }
+    }
+
+    fn on_record(&mut self) {
+        self.record_just_fired = true;
+        let now = self.now.as_secs();
+        let observed_switch = self.observed.as_ref().map(|o| o.switch);
+        for (si, sw) in self.switches.iter().enumerate() {
+            let backlog: f64 = self.ports[sw.ports.clone()].iter().map(|p| p.backlog).sum();
+            self.switch_queues[si].push(self.now, backlog);
+            if let Some(tel) = self.telemetry.as_mut() {
+                if observed_switch == Some(si) {
+                    // The bottleneck's switch also drives the
+                    // single-queue occupancy gauge.
+                    tel.queue_sample(now, backlog);
+                } else {
+                    tel.queue_sample_entity(now, si as u32, backlog);
                 }
             }
+        }
+        if self.observed.is_some() {
+            let agg = self.aggregate_rate();
+            if let Some(obs) = self.observed.as_mut() {
+                obs.metrics.aggregate_rate.push(self.now, agg);
+            }
+        }
+        if self.observed.is_some() || self.telemetry.is_some() {
+            for fi in 0..self.cfg.flows.len() {
+                let r = if self.active[fi] { self.flow_rate(fi) } else { 0.0 };
+                if let Some(obs) = self.observed.as_mut() {
+                    obs.metrics.per_source_rate[fi].push(self.now, r);
+                }
+                if let Some(tel) = self.telemetry.as_mut() {
+                    tel.series_sample(SeriesKind::FlowRate, fi as u32, now, r);
+                }
+            }
+        }
+        if self.now + self.cfg.record_interval <= self.cfg.t_end {
+            self.schedule(self.now + self.cfg.record_interval, Ev::Record);
         }
     }
 
     fn on_host_send(&mut self, fi: usize) {
-        let flow = &self.cfg.flows[fi];
-        let cls = flow.priority as usize;
-        let uplink = self.host_uplink[flow.src_host].expect("validated in new");
-        if self.link_paused_until[uplink][cls] > self.now {
-            let resume = self.link_paused_until[uplink][cls];
+        if !self.active[fi] {
+            self.sending_scheduled[fi] = false;
+            return;
+        }
+        let frame_bits = self.cfg.frame_bits;
+        // Volume-limited (incast) flows end once their block is sent.
+        let FlowRt { access_delay, volume_bits, uplink, to, priority, .. } = self.flow_rt[fi];
+        if self.sent_bits[fi] + frame_bits > volume_bits {
+            self.active[fi] = false;
+            self.sending_scheduled[fi] = false;
+            self.end_flow_span(fi);
+            return;
+        }
+        let resume = self.link_paused_until[uplink as usize][usize::from(priority)];
+        if resume > self.now {
             self.schedule(resume, Ev::HostSend(fi));
             return;
         }
-        let rrt = self.rps[fi].as_ref().and_then(ReactionPoint::associated_cp);
-        let frame = NetFrame { flow: fi, bits: self.cfg.frame_bits, rrt, priority: flow.priority };
-        let delay = Duration::serialization(self.cfg.frame_bits, self.cfg.links[uplink].capacity)
-            + self.cfg.links[uplink].delay;
-        self.schedule(self.now + delay, Ev::Arrive { link: uplink, frame });
-        // Deterministic +/-2% pacing jitter (per-flow LCG) breaks the
-        // phase-locking a perfectly periodic ensemble would suffer at a
-        // full FIFO (where the same flow's frame would be the one dropped
-        // every cycle) — the discrete analogue of real NIC clock skew.
-        let jitter = {
+        let rrt = match &self.rps[fi] {
+            Some(Rp::Bcn(rp)) => rp.associated_cp(),
+            _ => None,
+        };
+        let frame = NetFrame { bits: frame_bits, rrt, flow: fi as u32, priority };
+        self.sent_bits[fi] += frame_bits;
+        self.send_over(to, access_delay, frame);
+        if let Some(Rp::Qcn(rp)) = &mut self.rps[fi] {
+            rp.on_bits_sent(frame_bits);
+        }
+        let rate = self.flow_rate(fi).max(1.0);
+        let gap = if self.cfg.pacing_jitter {
+            // Deterministic +/-2% pacing jitter (per-flow LCG) breaks
+            // the phase-locking a perfectly periodic ensemble would
+            // suffer at a full FIFO (where the same flow's frame would
+            // be the one dropped every cycle).
             let st = &mut self.jitter_state[fi];
             *st =
                 st.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-            0.98 + 0.04 * ((*st >> 11) as f64 / (1u64 << 53) as f64)
+            let jitter = 0.98 + 0.04 * ((*st >> 11) as f64 / (1u64 << 53) as f64);
+            Duration::from_secs(frame_bits / rate * jitter)
+        } else {
+            Duration::serialization(frame_bits, rate)
         };
-        let gap_secs = self.cfg.frame_bits / self.flow_rate(fi).max(1.0) * jitter;
-        self.schedule(self.now + Duration::from_secs(gap_secs), Ev::HostSend(fi));
+        self.schedule(self.now + gap, Ev::HostSend(fi));
     }
 
-    fn on_arrive(&mut self, link: usize, frame: NetFrame) {
-        // Per-link wire loss: a multi-hop frame faces one draw per hop.
-        if self.faults.is_active() && self.faults.data_frame_lost() {
-            self.note_fault(FaultClass::DataLoss, link);
+    /// Per-link wire loss: a multi-hop frame faces one draw per hop.
+    fn lost_on_wire(&mut self, frame: &NetFrame) -> bool {
+        let lost = self.faults.is_active() && self.faults.data_frame_lost();
+        if lost {
+            self.note_fault(FaultClass::DataLoss, frame.flow as usize);
+        }
+        lost
+    }
+
+    /// Schedules `frame`'s arrival at the far end of a link.
+    fn send_over(&mut self, to: Endpoint, delay: Duration, frame: NetFrame) {
+        let at = self.now + delay;
+        match to {
+            Endpoint::Switch(si) => {
+                self.schedule(at, Ev::ArriveSwitch { switch: si as u32, frame })
+            }
+            Endpoint::Host(h) => self.schedule(at, Ev::ArriveHost { host: h as u32, frame }),
+        }
+    }
+
+    fn deliver(&mut self, host: usize, frame: &NetFrame) {
+        let fi = frame.flow as usize;
+        if host == self.flow_rt[fi].dst as usize {
+            self.stats[fi].delivered_bits += frame.bits;
+        }
+    }
+
+    fn drop_frame(&mut self, frame: &NetFrame) {
+        self.stats[frame.flow as usize].dropped_frames += 1;
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.frame_dropped(self.now.as_secs(), frame.flow);
+        }
+    }
+
+    /// Emits a threshold-crossing event when the observed port's backlog
+    /// moves across the switch's PAUSE threshold.
+    fn note_threshold(&mut self, pi: usize, prev: f64, q: f64) {
+        let Some(tel) = self.telemetry.as_mut() else { return };
+        if !self.cfg.pause.enabled {
             return;
         }
-        match self.cfg.links[link].to {
-            Endpoint::Host(h) => {
-                if h == self.cfg.flows[frame.flow].dst_host {
-                    self.stats[frame.flow].delivered_bits += frame.bits;
-                }
-            }
-            Endpoint::Switch(si) => self.switch_ingress(si, frame),
+        let thr = self.ports[pi].qsc_bits;
+        if prev < thr && q >= thr {
+            tel.queue_threshold(self.now.as_secs(), q, thr, true);
+        } else if prev >= thr && q < thr {
+            tel.queue_threshold(self.now.as_secs(), q, thr, false);
         }
     }
 
     fn switch_ingress(&mut self, si: usize, frame: NetFrame) {
-        let dst = self.cfg.flows[frame.flow].dst_host;
+        let dst = self.flow_rt[frame.flow as usize].dst as usize;
         // One indexed load; construction-time validation guarantees a
-        // route exists for every flow's destination, but corrupted
-        // feedback cannot reach here (data frames only), so the sentinel
+        // route exists for every flow's destination, so the sentinel
         // check is pure defence in depth.
         let pi = self.route_table[si * self.n_hosts + dst];
         if pi == NO_ROUTE {
-            self.stats[frame.flow].dropped_frames += 1;
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.frame_dropped(self.now.as_secs(), frame.flow as u32);
-            }
+            self.drop_frame(&frame);
             return;
         }
-        let pi = pi as usize;
-        if self.switches[si].ports[pi].backlog_bits() + frame.bits
-            > self.switches[si].spec.buffer_bits
-        {
-            self.stats[frame.flow].dropped_frames += 1;
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.frame_dropped(self.now.as_secs(), frame.flow as u32);
-            }
+        let now = self.now;
+        let port = &mut self.ports[pi as usize];
+        let prev = port.backlog;
+        if prev + frame.bits > port.buffer_bits {
+            self.drop_frame(&frame);
             return;
         }
         // Enqueue into the frame's priority class.
-        let cls = frame.priority as usize;
-        let port_backlog;
-        let class_backlog;
-        let mut feedback = None;
-        {
-            let port = &mut self.switches[si].ports[pi];
-            port.backlog_by_class[cls] += frame.bits;
-            port_backlog = port.backlog_bits();
-            class_backlog = port.backlog_by_class[cls];
-            let df =
-                DataFrame { src: SourceId(frame.flow as u32), bits: frame.bits, rrt: frame.rrt };
-            if let Some(cp) = &mut port.cp {
-                feedback = cp.on_arrival(&df, port_backlog);
-            }
-            port.queues[cls].push_back(frame);
+        let cls = usize::from(frame.priority);
+        let df = DataFrame { src: SourceId(frame.flow), bits: frame.bits, rrt: frame.rrt };
+        port.enqueue(frame);
+        let (port_backlog, class_backlog, qsc) =
+            (port.backlog, port.class_backlog[cls], port.qsc_bits);
+        let mut bcn = None;
+        let mut qcn = None;
+        match port.cp.as_deref_mut() {
+            Some(Cp::Bcn(cp)) => bcn = cp.on_arrival(&df, port_backlog),
+            Some(Cp::Qcn(cp)) => qcn = cp.on_arrival(df.src, port_backlog),
+            None => {}
         }
-        if let Some(msg) = feedback {
-            let mut injected = std::mem::take(&mut self.fault_scratch);
-            let fate = self.faults.feedback_fate_into(&msg, &mut injected);
-            for &class in &injected {
-                self.note_fault(class, msg.dst.0 as usize);
+        let observed = match &mut port.obs {
+            Some(o) => {
+                o.enqueued[cls].push_back(now);
+                true
             }
-            injected.clear();
-            self.fault_scratch = injected;
-            if let FeedbackFate::Deliver { msg, extra } = fate {
-                let flow = msg.dst.0 as usize;
-                // Corruption can re-address the message beyond the flow
-                // set; keep it schedulable and let delivery discard it.
-                let delay = self.feedback_delay.get(flow).copied().unwrap_or(Duration::ZERO);
-                self.schedule(self.now + delay + extra, Ev::Feedback { flow, msg });
-            }
+            None => false,
+        };
+        let pi = pi as usize;
+        if observed {
+            self.note_threshold(pi, prev, port_backlog);
+        }
+        if let Some(msg) = bcn {
+            self.send_bcn(msg);
+        }
+        if let Some(fb) = qcn {
+            let flow = fb.dst.0 as usize;
+            self.schedule(self.now + self.feedback_delay[flow], Ev::QcnFeedback { flow, fb });
         }
         // PAUSE when the relevant backlog crosses the threshold: under
         // PFC the congested class's backlog pauses only that class.
         if self.cfg.pause.enabled {
             if self.cfg.pause.per_priority {
-                if class_backlog > self.switches[si].spec.qsc_bits {
+                if class_backlog > qsc {
                     self.assert_pause(si, Some(cls as u8));
                 }
-            } else if port_backlog > self.switches[si].spec.qsc_bits {
+            } else if port_backlog > qsc {
                 self.assert_pause(si, None);
             }
         }
         // Kick the port if idle.
-        if !self.switches[si].ports[pi].busy {
-            self.switches[si].ports[pi].busy = true;
-            self.schedule(self.now, Ev::PortTx { switch: si, port: pi });
+        if !self.ports[pi].busy {
+            self.ports[pi].busy = true;
+            self.start_tx(pi);
         }
     }
 
+    /// Passes a BCN message through the fault layer and schedules its
+    /// delivery to the sampled flow.
+    fn send_bcn(&mut self, msg: BcnMessage) {
+        // The scratch list lives in the engine so the fault path
+        // allocates nothing per message.
+        let mut injected = std::mem::take(&mut self.fault_scratch);
+        let fate = self.faults.feedback_fate_into(&msg, &mut injected);
+        for &class in &injected {
+            self.note_fault(class, msg.dst.0 as usize);
+        }
+        injected.clear();
+        self.fault_scratch = injected;
+        if let FeedbackFate::Deliver { msg, extra } = fate {
+            let flow = msg.dst.0 as usize;
+            // Corruption can re-address the message beyond the flow
+            // set; keep it schedulable and let delivery discard it.
+            let delay = self.feedback_delay.get(flow).copied().unwrap_or(Duration::ZERO);
+            self.schedule(self.now + delay + extra, Ev::Feedback { flow, msg });
+        }
+    }
+
+    /// Pauses every link into switch `si` (one class under PFC) for one
+    /// hold, at most once per hold.
     fn assert_pause(&mut self, si: usize, priority: Option<u8>) {
         let can_fire = match self.switches[si].last_pause {
             Some(t) => self.now.saturating_sub(t) >= self.cfg.pause.hold,
@@ -746,74 +1368,72 @@ impl NetSim {
             return;
         }
         self.switches[si].last_pause = Some(self.now);
-        // Pause every link that terminates at this switch (precomputed
-        // in `new` — this path allocates nothing).
+        if let Some(obs) = self.observed.as_mut().filter(|o| o.switch == si) {
+            obs.metrics.pause_events += 1;
+        }
         let (hold, stormed) = self.faults.pause_hold(self.cfg.pause.hold);
         if stormed {
             self.note_fault(FaultClass::PauseStorm, si);
         }
-        for k in self.incoming_off[si] as usize..self.incoming_off[si + 1] as usize {
-            let li = self.incoming_links[k] as usize;
-            self.pause_counts[li] += 1;
-            let deliver = self.now + self.cfg.links[li].delay;
+        let (lo, hi) = (self.incoming_off[si] as usize, self.incoming_off[si + 1] as usize);
+        let mut k = lo;
+        while k < hi {
+            let delay = self.cfg.links[self.incoming_links[k] as usize].delay;
+            let deliver = self.now + delay;
             let until = deliver + hold;
-            // Each paused link gets its own PAUSE-episode span, so an
-            // upstream cascade renders as a burst of sibling bands.
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.pause(deliver.as_secs(), until.as_secs(), li as u32);
+            let mut end = k;
+            while end < hi && self.cfg.links[self.incoming_links[end] as usize].delay == delay {
+                let li = self.incoming_links[end] as usize;
+                self.pause_counts[li] += 1;
+                // Each paused link gets its own PAUSE-episode span, so an
+                // upstream cascade renders as a burst of sibling bands.
+                if let Some(tel) = self.telemetry.as_mut() {
+                    tel.pause(deliver.as_secs(), until.as_secs(), li as u32);
+                }
+                end += 1;
             }
-            self.schedule(deliver, Ev::PauseAt { link: li, priority, until });
+            self.pending_pauses += 1;
+            let (from, to) = (k as u32, end as u32);
+            self.schedule(deliver, Ev::PauseAt { from, to, priority, until });
+            k = end;
         }
     }
 
-    fn on_port_tx(&mut self, si: usize, pi: usize) {
-        let link = self.switches[si].ports[pi].link;
-        // Round-robin over classes that have frames and are not paused.
-        let paused = self.link_paused_until[link];
-        let frame = {
-            let port = &mut self.switches[si].ports[pi];
-            let mut chosen = None;
-            let mut earliest_resume: Option<Time> = None;
-            for off in 0..N_PRIORITIES {
-                let cls = (port.rr_next + off) % N_PRIORITIES;
-                if port.queues[cls].is_empty() {
-                    continue;
-                }
-                if paused[cls] > self.now {
-                    earliest_resume = Some(match earliest_resume {
-                        Some(t) => t.min(paused[cls]),
-                        None => paused[cls],
-                    });
-                    continue;
-                }
-                chosen = Some(cls);
-                break;
+    /// Starts serializing the next frame of a busy port: round-robin
+    /// over the backlogged classes that are not paused. When every
+    /// backlogged class is paused the port retries at the earliest
+    /// resume; when nothing is queued it goes idle.
+    fn start_tx(&mut self, pi: usize) {
+        let port = &mut self.ports[pi];
+        let link = port.link as usize;
+        let paused = &self.link_paused_until[link];
+        let mut chosen = None;
+        let mut earliest_resume: Option<Time> = None;
+        // Backlogged classes in round-robin order from `rr_next`: bit
+        // `k` of the rotated mask is class `rr_next + k`.
+        let rr_next = usize::from(port.rr_next);
+        let mut pending = port.backlogged.rotate_right(rr_next as u32);
+        while pending != 0 {
+            let cls = (rr_next + pending.trailing_zeros() as usize) % N_PRIORITIES;
+            pending &= pending - 1;
+            if paused[cls] > self.now {
+                earliest_resume = Some(earliest_resume.map_or(paused[cls], |t| t.min(paused[cls])));
+                continue;
             }
-            match chosen {
-                Some(cls) => {
-                    port.rr_next = (cls + 1) % N_PRIORITIES;
-                    port.queues[cls].pop_front()
-                }
-                None => {
-                    if let Some(resume) = earliest_resume {
-                        // Everything pending is paused: retry at resume.
-                        self.schedule(resume, Ev::PortTx { switch: si, port: pi });
-                        return;
-                    }
-                    port.busy = false;
-                    return;
-                }
+            chosen = Some(cls);
+            break;
+        }
+        let Some(cls) = chosen else {
+            match earliest_resume {
+                Some(resume) => self.schedule(resume, Ev::Resume { port: pi as u32 }),
+                None => port.busy = false,
             }
-        };
-        let Some(frame) = frame else {
-            self.switches[si].ports[pi].busy = false;
             return;
         };
-        let bits = frame.bits;
-        self.switches[si].ports[pi].backlog_by_class[frame.priority as usize] -= bits;
-        if let Some(cp) = &mut self.switches[si].ports[pi].cp {
-            cp.on_departure(bits);
-        }
+        port.rr_next = ((cls + 1) % N_PRIORITIES) as u8;
+        port.serving = cls as u8;
+        let bits = port.queues[cls].front().expect("chosen class is backlogged").bits;
+        let frame_ser = port.frame_ser;
         // Link flaps defer the transmission start past the down window.
         let mut start = self.now;
         if self.faults.is_active() {
@@ -822,10 +1442,253 @@ impl NetSim {
                 start = up;
             }
         }
-        let ser = Duration::serialization(bits, self.cfg.links[link].capacity);
-        let delay = ser + self.cfg.links[link].delay;
-        self.schedule(start + delay, Ev::Arrive { link, frame });
-        self.schedule(start + ser, Ev::PortTx { switch: si, port: pi });
+        let ser = if bits == self.cfg.frame_bits {
+            frame_ser
+        } else {
+            Duration::serialization(bits, self.cfg.links[link].capacity)
+        };
+        self.schedule(start + ser, Ev::Departure { port: pi as u32 });
+    }
+
+    /// The serving class's head frame has left the port: release its
+    /// buffer, forward it, and start the next one.
+    fn on_departure(&mut self, pi: usize) {
+        let now = self.now;
+        let port = &mut self.ports[pi];
+        let prev = port.backlog;
+        let frame = port.dequeue();
+        let (q, to, delay) = (port.backlog, port.to, port.delay);
+        if let Some(Cp::Bcn(cp)) = port.cp.as_deref_mut() {
+            cp.on_departure(frame.bits);
+        }
+        if let Some(o) = &mut port.obs {
+            let enqueued = o.enqueued[usize::from(frame.priority)].pop_front().unwrap_or(now);
+            o.delivered_frames += 1;
+            o.delivered_bits += frame.bits;
+            o.queueing_delay.push(now.saturating_sub(enqueued).as_secs());
+            self.note_threshold(pi, prev, q);
+        }
+        match to {
+            // The last hop to the destination over a zero-delay link
+            // needs no event of its own.
+            Endpoint::Host(h) if delay == Duration::ZERO => self.deliver(h, &frame),
+            _ => self.send_over(to, delay, frame),
+        }
+        self.start_tx(pi);
+    }
+}
+
+impl Observed {
+    fn new(
+        cfg: &NetConfig,
+        switch: usize,
+        port: usize,
+        buffer: f64,
+        records: usize,
+    ) -> (Self, PortObs) {
+        let n = cfg.flows.len();
+        // Size every buffer that grows with the run up front, so the
+        // steady state allocates nothing (`tests/zero_alloc.rs` gates
+        // on this): a port holds at most a buffer of frames, the series
+        // one sample per record tick, and the delay samples one per
+        // deliverable frame (capped — pathological horizons fall back
+        // to amortized growth rather than huge up-front reserves).
+        let link = cfg.observe.expect("observed port");
+        let frames = (buffer / cfg.frame_bits).ceil() as usize + 2;
+        let deliverable =
+            (cfg.t_end.as_secs() * cfg.links[link].capacity / cfg.frame_bits).ceil().min(1e6);
+        let mut metrics = SimMetrics::default();
+        metrics.aggregate_rate.reserve(records);
+        let mut queueing_delay = SampleSet::new();
+        queueing_delay.reserve(deliverable as usize + 16);
+        metrics.per_source_rate = vec![TimeSeries::new(); n];
+        for series in &mut metrics.per_source_rate {
+            series.reserve(records);
+        }
+        let enqueued = std::array::from_fn(|cls| {
+            let used = cfg.flows.iter().any(|f| usize::from(f.priority) == cls);
+            VecDeque::with_capacity(if used { frames } else { 0 })
+        });
+        let port_obs =
+            PortObs { enqueued, delivered_frames: 0, delivered_bits: 0.0, queueing_delay };
+        (Self { switch, port, metrics }, port_obs)
+    }
+}
+
+/// Hooks for the hybrid co-simulator (`crate::hybrid`) on one-switch
+/// configs with an observed bottleneck port: record-grid epoch marks,
+/// fluid-state extraction, fast-forward bookkeeping and fluid→packet
+/// re-seeding. All crate-private — the public surface stays
+/// event-driven.
+impl NetSim {
+    fn observed_ref(&self) -> &Observed {
+        self.observed.as_ref().expect("hybrid hooks need an observed port")
+    }
+
+    /// Consumes the "a `Record` event just dispatched" mark. The hybrid
+    /// epoch controller runs exactly at record-grid ticks so that every
+    /// fast-forward span is an integer number of record intervals and
+    /// the sampled series stay grid-dense and comparable.
+    pub(crate) fn take_record_mark(&mut self) -> bool {
+        std::mem::take(&mut self.record_just_fired)
+    }
+
+    /// The telemetry sink, if attached.
+    pub(crate) fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
+        self.telemetry.as_mut()
+    }
+
+    /// Projects the packet state onto the fluid coordinates: the
+    /// observed port's exact backlog (bits) and the aggregate regulator
+    /// rate (bit/s), summed over active flows in index order. The
+    /// hybrid engine adds its re-seed residue to make the projection
+    /// round-trip bit-exactly.
+    pub(crate) fn fluid_state(&self) -> [f64; 2] {
+        let obs = self.observed_ref();
+        let q = self.ports[obs.port].backlog;
+        [q, self.aggregate_rate()]
+    }
+
+    /// Whether the run is in a state the fluid model can stand in for:
+    /// a fluid-calibrated BCN congestion point on the observed port (no
+    /// FB quantizer, ungated positive feedback) with BCN regulators on
+    /// every flow, no fault injection, no PAUSE asserted or in flight,
+    /// and a steady homogeneous workload (every flow active, none
+    /// volume-limited or scheduled to stop). Everything here is a
+    /// *structural* guard; the dynamic guards (switching-line distance,
+    /// queue margins) live in the epoch controller.
+    pub(crate) fn hybrid_quiescent(&self) -> bool {
+        let Some(obs) = &self.observed else { return false };
+        let cp_ok = match self.ports[obs.port].cp.as_deref() {
+            Some(Cp::Bcn(cp)) => {
+                let c = cp.config();
+                c.fb_quant.is_none() && !c.gate_positive
+            }
+            _ => false,
+        };
+        cp_ok
+            && self.rps.iter().all(|rp| matches!(rp, Some(Rp::Bcn(_))))
+            && !self.cfg.faults.enabled()
+            && self.pending_pauses == 0
+            && self.link_paused_until.iter().all(|p| p.iter().all(|&t| t <= self.now))
+            && self.active.iter().all(|&a| a)
+            && self.cfg.flows.iter().all(|f| f.stop.is_none() && f.volume_bits.is_none())
+    }
+
+    /// Pushes one fluid-integrated record-grid sample, mirroring the
+    /// `Record` dispatch arm (queue gauge and series, aggregate rate,
+    /// per-flow rate series at the fluid fair share) so fast-forwarded
+    /// stretches stay sample-for-sample comparable with
+    /// packet-simulated ones.
+    pub(crate) fn hybrid_record_sample(&mut self, t: Time, q_bits: f64, w_agg: f64) {
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.queue_sample(t.as_secs(), q_bits);
+        }
+        let n = self.cfg.flows.len();
+        let obs = self.observed.as_mut().expect("hybrid hooks need an observed port");
+        self.switch_queues[obs.switch].push(t, q_bits);
+        obs.metrics.aggregate_rate.push(t, w_agg);
+        let per = w_agg / n as f64;
+        for i in 0..n {
+            obs.metrics.per_source_rate[i].push(t, per);
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.series_sample(SeriesKind::FlowRate, i as u32, t.as_secs(), per);
+            }
+        }
+    }
+
+    /// Credits delivery totals for a fast-forwarded span: with the
+    /// epoch guards holding, `0 < q` throughout, so the port serves at
+    /// capacity and exactly `C * secs` bits leave the queue (the fluid
+    /// identity `outflow = inflow - dq`). Split evenly across flows
+    /// (the workload is homogeneous under the guards); per-frame
+    /// queueing-delay samples do not accrue inside an epoch.
+    pub(crate) fn hybrid_credit_delivery(&mut self, secs: f64) {
+        let port = &mut self.ports[self.observed.as_ref().expect("observed port").port];
+        let bits = self.cfg.links[port.link as usize].capacity * secs;
+        let obs = port.obs.as_mut().expect("the observed port carries its observables");
+        obs.delivered_bits += bits;
+        obs.delivered_frames += (bits / self.cfg.frame_bits).round() as u64;
+        let per = bits / self.stats.len() as f64;
+        for s in &mut self.stats {
+            s.delivered_bits += per;
+        }
+    }
+
+    /// Re-seeds the packet engine from fluid state at an epoch boundary
+    /// `t`: regulator rates to the fair share of `w_agg` (clamped), the
+    /// observed port's backlog to exactly `q_bits` (FIFO rebuilt as
+    /// whole frames round-robin across flows plus one partial-frame
+    /// remainder, all in flow 0's class), congestion-point sampling
+    /// interval restarted, and the event set re-populated (per-flow
+    /// sends, the departure of the queue head, the next record tick)
+    /// through the stats-preserving [`EventQueue::clear_pending`] so the
+    /// wheel's slab arena is reused. In-flight events discarded here —
+    /// frames and feedback already on the wire — are the documented
+    /// divergence budget of an epoch switch.
+    ///
+    /// Returns the rate residue `w_agg - sum(clamped rates)`; adding it
+    /// back to [`NetSim::fluid_state`]'s aggregate reproduces `w_agg`
+    /// bit-exactly (Sterbenz: the sum is within a factor of two of
+    /// `w_agg`).
+    pub(crate) fn reseed_fluid(&mut self, t: Time, q_bits: f64, w_agg: f64) -> f64 {
+        self.now = t;
+        let n = self.cfg.flows.len();
+        let base = w_agg / n as f64;
+        for rp in &mut self.rps {
+            let Some(Rp::Bcn(rp)) = rp else {
+                unreachable!("hybrid re-seed requires BCN control (guarded)");
+            };
+            rp.set_rate(base);
+        }
+        let pi = self.observed_ref().port;
+        let frame_bits = self.cfg.frame_bits;
+        let cls = usize::from(self.cfg.flows[0].priority);
+        let full = (q_bits / frame_bits).floor() as usize;
+        let rem = q_bits - full as f64 * frame_bits;
+        let port = &mut self.ports[pi];
+        if let Some(Cp::Bcn(cp)) = port.cp.as_deref_mut() {
+            cp.restart_interval();
+        }
+        let obs = port.obs.as_mut().expect("the observed port carries its observables");
+        for q in &mut port.queues {
+            q.clear();
+        }
+        for q in &mut obs.enqueued {
+            q.clear();
+        }
+        let rrt = |src: usize| match &self.rps[src] {
+            Some(Rp::Bcn(rp)) => rp.associated_cp(),
+            _ => None,
+        };
+        for j in 0..=full {
+            let bits = if j < full { frame_bits } else { rem };
+            if bits > 0.0 {
+                let src = j % n;
+                let (flow, priority) = (src as u32, cls as u8);
+                port.queues[cls].push_back(NetFrame { bits, rrt: rrt(src), flow, priority });
+                obs.enqueued[cls].push_back(t);
+            }
+        }
+        // Exactly `q_bits`, not the sum of the rebuilt frames.
+        port.backlog = q_bits;
+        port.class_backlog = [0.0; N_PRIORITIES];
+        port.class_backlog[cls] = q_bits;
+        port.backlogged = if port.queues[cls].is_empty() { 0 } else { 1 << cls };
+        self.events.clear_pending();
+        self.pending_pauses = 0;
+        port.busy = port.backlogged != 0;
+        if port.busy {
+            self.start_tx(pi);
+        }
+        for i in 0..n {
+            self.sending_scheduled[i] = true;
+            self.schedule(t + Duration::from_nanos(i as u64 + 1), Ev::HostSend(i));
+        }
+        if t + self.cfg.record_interval <= self.cfg.t_end {
+            self.schedule(t + self.cfg.record_interval, Ev::Record);
+        }
+        w_agg - self.aggregate_rate()
     }
 }
 
@@ -833,9 +1696,11 @@ impl NetSim {
 /// it delivers to `dst_host` within a loop-free number of hops, and
 /// returns the summed link delay (used as the feedback delay
 /// approximation).
+#[allow(clippy::too_many_arguments)]
 fn walk_path(
     cfg: &NetConfig,
-    switches: &[SwitchState],
+    n_switches: usize,
+    ports: &[Port],
     route_table: &[u32],
     host_uplink: &[Option<usize>],
     fi: usize,
@@ -845,7 +1710,7 @@ fn walk_path(
     let uplink = host_uplink[src_host].expect("caller checked the source uplink");
     let mut delay = cfg.links[uplink].delay;
     let mut at = cfg.links[uplink].to;
-    for _ in 0..switches.len() + 1 {
+    for _ in 0..n_switches + 1 {
         match at {
             Endpoint::Host(h) => {
                 if h == dst_host {
@@ -867,7 +1732,7 @@ fn walk_path(
                         ),
                     ));
                 }
-                let link = switches[si].ports[port as usize].link;
+                let link = ports[port as usize].link as usize;
                 delay = delay + cfg.links[link].delay;
                 at = cfg.links[link].to;
             }
@@ -981,34 +1846,33 @@ fn switch_chain(
             qsc_bits: 0.6 * buffer,
             routes,
             cps: match &bcn {
-                Some((cp, _)) if s == last => {
-                    vec![(bottleneck, CpConfig { cpid: CpId(n_switches as u64), ..*cp })]
-                }
+                Some((cp, _)) if s == last => vec![(
+                    bottleneck,
+                    CpSpec::Bcn(CpConfig { cpid: CpId(n_switches as u64), ..*cp }),
+                )],
                 _ => Vec::new(),
             },
         })
         .collect();
 
-    let rp = bcn.as_ref().map(|(_, rp)| *rp);
+    let rp = bcn.as_ref().map(|(_, rp)| RpSpec::Bcn(*rp));
+    let flow = |src_host, dst_host, initial_rate| NetFlow {
+        src_host,
+        dst_host,
+        initial_rate,
+        rp,
+        priority: 0,
+        start: Time::ZERO,
+        stop: None,
+        volume_bits: None,
+    };
     // Culprits collectively offer half the trunk: 2x the bottleneck,
     // but leaving the trunks themselves uncongested.
     let mut flows: Vec<NetFlow> = (0..n_culprits)
-        .map(|h| NetFlow {
-            src_host: h,
-            dst_host: sink_c,
-            initial_rate: 0.5 * trunk_capacity / n_culprits as f64,
-            rp,
-            priority: 0,
-        })
+        .map(|h| flow(h, sink_c, 0.5 * trunk_capacity / n_culprits as f64))
         .collect();
     let victim = flows.len();
-    flows.push(NetFlow {
-        src_host: victim_host,
-        dst_host: sink_v,
-        initial_rate: 0.25 * trunk_capacity,
-        rp,
-        priority: 0,
-    });
+    flows.push(flow(victim_host, sink_v, 0.25 * trunk_capacity));
 
     let cfg = NetConfig {
         hosts: n_hosts,
@@ -1021,6 +1885,8 @@ fn switch_chain(
         pause,
         faults: FaultConfig::none(),
         scheduler: Scheduler::default(),
+        observe: None,
+        pacing_jitter: true,
     };
     (cfg, victim)
 }
@@ -1228,6 +2094,68 @@ mod tests {
         let err = NetSim::try_new(cfg).expect_err("must reject the foreign link");
         assert_eq!(err.field, "switches");
         assert!(err.reason.contains("does not own"), "unexpected reason: {}", err.reason);
+    }
+
+    /// The two-culprit victim chain with PAUSE off, for the validation
+    /// repros below.
+    fn small_victim() -> NetConfig {
+        let pause = PauseConfig { enabled: false, hold: Duration::ZERO, per_priority: false };
+        victim_topology(2, TRUNK, FRAME, Duration::from_secs(1e-6), 0.1, pause, None).0
+    }
+
+    fn rejected_field(cfg: NetConfig) -> &'static str {
+        NetSim::try_new(cfg).expect_err("must be rejected at construction").field
+    }
+
+    #[test]
+    fn rejects_zero_frame_size_instead_of_livelocking() {
+        let mut cfg = small_victim();
+        cfg.frame_bits = 0.0;
+        assert_eq!(rejected_field(cfg), "frame_bits");
+    }
+
+    #[test]
+    fn rejects_zero_record_interval_instead_of_livelocking() {
+        let mut cfg = small_victim();
+        cfg.record_interval = Duration::ZERO;
+        assert_eq!(rejected_field(cfg), "record_interval");
+    }
+
+    #[test]
+    fn rejects_zero_link_capacity_instead_of_panicking() {
+        let mut cfg = small_victim();
+        cfg.links[0].capacity = 0.0;
+        assert_eq!(rejected_field(cfg), "links.capacity");
+    }
+
+    #[test]
+    fn rejects_out_of_range_priority_instead_of_panicking() {
+        let mut cfg = small_victim();
+        cfg.flows[0].priority = 9;
+        assert_eq!(rejected_field(cfg), "flows.priority");
+    }
+
+    #[test]
+    fn rejects_invalid_rates_buffers_and_observed_ports() {
+        let mut cfg = small_victim();
+        cfg.flows[1].initial_rate = f64::NAN;
+        assert_eq!(rejected_field(cfg), "flows.initial_rate");
+        let mut cfg = small_victim();
+        cfg.switches[1].buffer_bits = FRAME / 2.0;
+        assert_eq!(rejected_field(cfg), "buffer_bits");
+        let mut cfg = small_victim();
+        cfg.observe = Some(0); // a host's access link, not a switch port
+        assert_eq!(rejected_field(cfg), "observe");
+    }
+
+    #[test]
+    fn infinite_capacity_links_serialize_in_zero_time() {
+        let mut cfg = small_victim();
+        for l in cfg.links.iter_mut().filter(|l| matches!(l.from, Endpoint::Host(_))) {
+            l.capacity = f64::INFINITY;
+        }
+        let report = NetSim::try_new(cfg).expect("+inf capacity is valid").run();
+        assert!(report.flows.iter().all(|f| f.delivered_bits > 0.0));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! driven only (no wall-clock timer path, which matters mainly at very
 //! low rates).
 
+use crate::error::ConfigError;
 use crate::frame::SourceId;
 
 /// Quantized congestion feedback delivered to a QCN reaction point.
@@ -46,6 +47,27 @@ pub struct QcnCp {
     countdown: u64,
     q_old: Option<f64>,
     fb_max: f64,
+}
+
+impl QcnCpConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] on a non-positive `q_eq`, a non-finite
+    /// or negative `w`, or a zero sampling divisor.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.q_eq_bits.is_finite() && self.q_eq_bits > 0.0) {
+            return Err(ConfigError::new("cp.q_eq_bits", "q_eq must be positive"));
+        }
+        if !(self.w.is_finite() && self.w >= 0.0) {
+            return Err(ConfigError::new("cp.w", "w must be non-negative"));
+        }
+        if self.sample_every == 0 {
+            return Err(ConfigError::new("cp.sample_every", "sampling divisor must be at least 1"));
+        }
+        Ok(())
+    }
 }
 
 impl QcnCp {
@@ -123,6 +145,39 @@ impl QcnRpConfig {
             r_min: line_rate * 1e-5,
             r_max: line_rate,
         }
+    }
+}
+
+impl QcnRpConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] on a decrease gain outside `(0, 1]`, an
+    /// empty rate range, or a non-positive byte-counter limit.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.gd > 0.0 && self.gd <= 1.0) {
+            return Err(ConfigError::new("rp.gd", "gd must lie in (0, 1]"));
+        }
+        if !(self.r_min.is_finite()
+            && self.r_max.is_finite()
+            && self.r_min > 0.0
+            && self.r_min < self.r_max)
+        {
+            return Err(ConfigError::new("rp.r_min", "need 0 < r_min < r_max"));
+        }
+        if !(self.bc_limit_bits.is_finite() && self.bc_limit_bits > 0.0) {
+            return Err(ConfigError::new(
+                "rp.bc_limit_bits",
+                "byte-counter limit must be positive",
+            ));
+        }
+        for (field, v) in [("rp.r_ai", self.r_ai), ("rp.r_hai", self.r_hai)] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(ConfigError::new(field, "increase step must be non-negative"));
+            }
+        }
+        Ok(())
     }
 }
 

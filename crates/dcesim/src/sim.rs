@@ -1,31 +1,37 @@
-//! The event-driven simulation engine: N sources, one bottleneck queue,
-//! one sink (the paper's Fig. 1 topology).
+//! The paper's Fig. 1 dumbbell: N sources, one bottleneck queue, one
+//! sink — its description ([`SimConfig`]) and a thin front end
+//! ([`Simulation`]) over the packet engine [`NetSim`].
 //!
 //! Sources emit fixed-size data frames paced by their reaction point's
 //! current rate. Frames reach the bottleneck after a propagation delay,
 //! enter a finite FIFO buffer (or are dropped), and are serialized onto
 //! the output link at capacity `C`. The congestion point watches the
 //! queue and sends feedback messages back to the sampled frame's source
-//! (another propagation delay). Above `q_sc` the switch PAUSEs all
-//! sources for a hold time (IEEE 802.3x).
+//! (another propagation delay). Under BCN, above `q_sc` the switch
+//! PAUSEs all sources for a hold time (IEEE 802.3x).
 //!
-//! The engine is deterministic: integer-nanosecond timestamps, a stable
-//! tie-break sequence number, and deterministic sampling make every run
-//! reproducible bit for bit.
-
-use std::collections::VecDeque;
+//! [`SimConfig::lower`] expresses exactly that as a one-switch
+//! [`NetConfig`]: one zero-serialization uplink per source carrying the
+//! propagation delay, the bottleneck as the switch's only output port
+//! (zero-delay link to the sink, observed for [`SimMetrics`]), no pacing
+//! jitter, and PAUSE only under BCN. The run is deterministic and
+//! bit-identical on either scheduler backend.
 
 use bcn::BcnParams;
-use telemetry::{FaultClass, SeriesKind, SpanKind, Telemetry};
+use telemetry::Telemetry;
 
-use crate::cp::{CongestionPoint, CpConfig};
+use crate::cp::CpConfig;
 use crate::error::ConfigError;
-use crate::faults::{FaultConfig, FaultPlan, FeedbackFate};
-use crate::frame::{BcnMessage, CpId, DataFrame, SourceId};
+use crate::faults::FaultConfig;
+use crate::frame::CpId;
 use crate::metrics::SimMetrics;
-use crate::qcn::{QcnCp, QcnCpConfig, QcnFeedback, QcnRp, QcnRpConfig};
-use crate::rp::{ReactionPoint, RpConfig};
-use crate::sched::{EventQueue, Scheduler};
+use crate::net::{
+    self, CpSpec, Endpoint, LinkSpec, NetConfig, NetFlow, NetSim, NetWorkspace, PauseConfig,
+    RpSpec, SwitchSpec,
+};
+use crate::qcn::{QcnCpConfig, QcnRpConfig};
+use crate::rp::RpConfig;
+use crate::sched::Scheduler;
 use crate::time::{Duration, Time};
 use crate::workload::FlowSpec;
 
@@ -137,49 +143,115 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first invalid field: an
-    /// empty flow set, non-finite or non-positive capacity/frame size,
-    /// a buffer too small for one frame, non-finite flow rates, a zero
-    /// record interval, or invalid scheme/fault parameters.
+    /// empty flow set or a non-finite or non-positive capacity (the
+    /// dumbbell's own checks), then the field checks
+    /// [`NetConfig::validate`] applies to the lowered configuration
+    /// (frame size, buffer, flow rates and volumes, record interval,
+    /// scheme and fault parameters), run on these fields directly.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validate_dumbbell()?;
+        net::check_frame(self.frame_bits)?;
+        net::check_buffer(0, self.buffer_bits, self.frame_bits)?;
+        for (i, f) in self.flows.iter().enumerate() {
+            net::check_flow(i, f.initial_rate, f.volume_bits, 0)?;
+        }
+        net::check_record_interval(self.record_interval)?;
+        match &self.control {
+            Control::Bcn { cp, rp } => {
+                cp.validate()?;
+                rp.validate()?;
+            }
+            Control::Qcn { cp, rp } => {
+                cp.validate()?;
+                rp.validate()?;
+            }
+            Control::None => {}
+        }
+        self.faults.validate()
+    }
+
+    /// The checks the lowering cannot express: a dumbbell needs flows
+    /// and a finite bottleneck (a lowered link may be infinitely fast).
+    fn validate_dumbbell(&self) -> Result<(), ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("flows", "need at least one flow"));
         }
         if !(self.capacity.is_finite() && self.capacity > 0.0) {
             return Err(ConfigError::new("capacity", "capacity must be positive"));
         }
-        if !(self.frame_bits.is_finite() && self.frame_bits > 0.0) {
-            return Err(ConfigError::new("frame_bits", "frame size must be positive"));
-        }
-        if !(self.buffer_bits.is_finite() && self.buffer_bits >= self.frame_bits) {
-            return Err(ConfigError::new("buffer_bits", "buffer must hold at least one frame"));
-        }
-        for (i, f) in self.flows.iter().enumerate() {
-            if !(f.initial_rate.is_finite() && f.initial_rate >= 0.0) {
-                return Err(ConfigError::new(
-                    "flows.initial_rate",
-                    format!(
-                        "flow {i} rate must be finite and non-negative, got {}",
-                        f.initial_rate
-                    ),
-                ));
+        Ok(())
+    }
+
+    /// Expresses the dumbbell as a one-switch [`NetConfig`]: sources are
+    /// hosts `0..N` and the sink is host `N`; link 0 is the bottleneck
+    /// (switch 0 to the sink, capacity `C`, zero delay) and the config's
+    /// observed port; links `1..=N` are the sources' uplinks (infinite
+    /// capacity, the propagation delay), so a frame reaches the switch
+    /// one propagation delay after it is sent and feedback and PAUSE
+    /// travel back in one. Pacing jitter is off and PAUSE is armed only
+    /// under BCN, at the congestion point's `q_sc`.
+    #[must_use]
+    pub fn lower(&self) -> NetConfig {
+        let n = self.flows.len();
+        let mut links = vec![LinkSpec {
+            from: Endpoint::Switch(0),
+            to: Endpoint::Host(n),
+            capacity: self.capacity,
+            delay: Duration::ZERO,
+        }];
+        links.extend((0..n).map(|i| LinkSpec {
+            from: Endpoint::Host(i),
+            to: Endpoint::Switch(0),
+            capacity: f64::INFINITY,
+            delay: self.prop_delay,
+        }));
+        let (cp, rp, qsc_bits) = match &self.control {
+            Control::Bcn { cp, rp } => {
+                (Some(CpSpec::Bcn(*cp)), Some(RpSpec::Bcn(*rp)), cp.qsc_bits)
             }
-            if let Some(v) = f.volume_bits {
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(ConfigError::new(
-                        "flows.volume_bits",
-                        format!("flow {i} volume must be finite and non-negative, got {v}"),
-                    ));
-                }
+            Control::Qcn { cp, rp } => {
+                (Some(CpSpec::Qcn(*cp)), Some(RpSpec::Qcn(*rp)), f64::INFINITY)
             }
+            Control::None => (None, None, f64::INFINITY),
+        };
+        let flows = self
+            .flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| NetFlow {
+                src_host: i,
+                dst_host: n,
+                initial_rate: f.initial_rate,
+                rp,
+                priority: 0,
+                start: f.start,
+                stop: f.stop,
+                volume_bits: f.volume_bits,
+            })
+            .collect();
+        NetConfig {
+            hosts: n + 1,
+            switches: vec![SwitchSpec {
+                buffer_bits: self.buffer_bits,
+                qsc_bits,
+                routes: vec![(n, 0)],
+                cps: cp.map(|c| (0, c)).into_iter().collect(),
+            }],
+            links,
+            flows,
+            frame_bits: self.frame_bits,
+            t_end: self.t_end,
+            record_interval: self.record_interval,
+            pause: PauseConfig {
+                enabled: matches!(self.control, Control::Bcn { .. }),
+                hold: self.pause_hold,
+                per_priority: false,
+            },
+            faults: self.faults.clone(),
+            scheduler: self.scheduler,
+            observe: Some(0),
+            pacing_jitter: false,
         }
-        if self.record_interval == Duration::ZERO {
-            return Err(ConfigError::new("record_interval", "record interval must be positive"));
-        }
-        if let Control::Bcn { cp, rp } = &self.control {
-            cp.validate()?;
-            rp.validate()?;
-        }
-        self.faults.validate()
     }
 
     /// A modest, fast-running BCN configuration used by doc-tests and
@@ -218,25 +290,6 @@ pub fn fluid_validation_params() -> BcnParams {
         .with_w(3.0e5)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Ev {
-    FlowStart(usize),
-    FlowStop(usize),
-    SourceSend(usize),
-    Arrival(DataFrame),
-    Departure,
-    BcnDeliver(BcnMessage),
-    QcnDeliver(QcnFeedback),
-    PauseDeliver { until: Time },
-    Record,
-}
-
-enum SchemeState {
-    Bcn { cp: CongestionPoint, rps: Vec<ReactionPoint> },
-    Qcn { cp: QcnCp, rps: Vec<QcnRp> },
-    None,
-}
-
 /// Outcome of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -249,63 +302,17 @@ pub struct SimReport {
     pub telemetry: Option<Telemetry>,
 }
 
-/// The reusable allocation footprint of a [`Simulation`]: the event
-/// queue's slab/heap buffer, the bottleneck FIFO, and the fault scratch
-/// list. Build one per worker and thread it through
+/// The reusable allocation footprint of a [`Simulation`] — the packet
+/// engine's [`NetWorkspace`]. Build one per worker and thread it through
 /// [`Simulation::new_in`] / [`Simulation::run_into`] to run many seeds
 /// without re-allocating per run (`dcesim::batch` does this).
-#[derive(Debug, Default)]
-pub struct SimWorkspace {
-    events: EventQueue<Ev>,
-    queue: VecDeque<(DataFrame, Time)>,
-    fault_scratch: Vec<FaultClass>,
-}
+pub type SimWorkspace = NetWorkspace;
 
-impl SimWorkspace {
-    /// An empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// A configured, runnable simulation.
+/// A configured, runnable dumbbell: the packet engine on the lowered
+/// configuration.
+#[derive(Debug)]
 pub struct Simulation {
-    cfg: SimConfig,
-    events: EventQueue<Ev>,
-    now: Time,
-    active: Vec<bool>,
-    paused_until: Vec<Time>,
-    sending_scheduled: Vec<bool>,
-    sent_bits: Vec<f64>,
-    queue: VecDeque<(DataFrame, Time)>,
-    q_bits: f64,
-    busy: bool,
-    scheme: SchemeState,
-    metrics: SimMetrics,
-    last_pause: Option<Time>,
-    telemetry: Option<Telemetry>,
-    /// Open flow-lifetime span ids, 0 when the flow has none.
-    flow_spans: Vec<u64>,
-    faults: FaultPlan,
-    fault_scratch: Vec<FaultClass>,
-    /// PAUSE frames scheduled but not yet delivered — the hybrid
-    /// engine's guard must see in-flight PAUSEs, not just asserted ones.
-    pending_pauses: u32,
-    /// Set by the `Record` dispatch arm, consumed by
-    /// [`Simulation::take_record_mark`]: the hybrid engine's epoch
-    /// controller runs exactly at record-grid ticks.
-    record_just_fired: bool,
-}
-
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("q_bits", &self.q_bits)
-            .field("events_pending", &self.events.len())
-            .finish_non_exhaustive()
-    }
+    pub(crate) net: NetSim,
 }
 
 impl Simulation {
@@ -313,8 +320,7 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration (no flows, non-positive capacity
-    /// or frame size, or invalid scheme parameters).
+    /// Panics on invalid configuration (see [`SimConfig::validate`]).
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
         Self::new_in(cfg, &mut SimWorkspace::new())
@@ -329,74 +335,11 @@ impl Simulation {
     /// Same as [`Simulation::new`].
     #[must_use]
     pub fn new_in(cfg: SimConfig, ws: &mut SimWorkspace) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
+        let net = cfg.validate_dumbbell().and_then(|()| NetSim::try_new_in(cfg.lower(), ws));
+        match net {
+            Ok(net) => Self { net },
+            Err(e) => panic!("{e}"),
         }
-        let n = cfg.flows.len();
-        let scheme = match &cfg.control {
-            Control::Bcn { cp, rp } => SchemeState::Bcn {
-                cp: CongestionPoint::new(*cp),
-                rps: cfg.flows.iter().map(|f| ReactionPoint::new(*rp, f.initial_rate)).collect(),
-            },
-            Control::Qcn { cp, rp } => SchemeState::Qcn {
-                cp: QcnCp::new(*cp),
-                rps: cfg.flows.iter().map(|f| QcnRp::new(*rp, f.initial_rate)).collect(),
-            },
-            Control::None => SchemeState::None,
-        };
-        let mut events = std::mem::take(&mut ws.events);
-        events.reset(cfg.scheduler);
-        let mut queue = std::mem::take(&mut ws.queue);
-        queue.clear();
-        let mut fault_scratch = std::mem::take(&mut ws.fault_scratch);
-        fault_scratch.clear();
-        // Size every buffer that grows with the run up front, so the
-        // steady state allocates nothing (`tests/zero_alloc.rs` gates
-        // on this): the FIFO can hold at most a buffer of frames, the
-        // series one sample per record tick, and the delay samples one
-        // per deliverable frame (capped — pathological horizons fall
-        // back to amortized growth rather than huge up-front reserves).
-        queue.reserve((cfg.buffer_bits / cfg.frame_bits).ceil() as usize + 2);
-        let records = (cfg.t_end.as_secs() / cfg.record_interval.as_secs()).ceil() as usize + 2;
-        let deliverable = (cfg.t_end.as_secs() * cfg.capacity / cfg.frame_bits).ceil().min(1e6);
-        let mut sim = Self {
-            events,
-            now: Time::ZERO,
-            active: vec![false; n],
-            paused_until: vec![Time::ZERO; n],
-            sending_scheduled: vec![false; n],
-            sent_bits: vec![0.0; n],
-            queue,
-            q_bits: 0.0,
-            busy: false,
-            scheme,
-            metrics: SimMetrics::default(),
-            last_pause: None,
-            telemetry: None,
-            flow_spans: vec![0; n],
-            faults: FaultPlan::new(cfg.faults.clone()),
-            fault_scratch,
-            pending_pauses: 0,
-            record_just_fired: false,
-            cfg,
-        };
-        sim.metrics.queue.reserve(records);
-        sim.metrics.aggregate_rate.reserve(records);
-        sim.metrics.queueing_delay.reserve(deliverable as usize + 16);
-        sim.metrics.per_source_bits = vec![0.0; n];
-        sim.metrics.per_source_rate = vec![crate::metrics::TimeSeries::new(); n];
-        for series in &mut sim.metrics.per_source_rate {
-            series.reserve(records);
-        }
-        for i in 0..n {
-            let start = sim.cfg.flows[i].start;
-            sim.schedule(start, Ev::FlowStart(i));
-            if let Some(stop) = sim.cfg.flows[i].stop {
-                sim.schedule(stop, Ev::FlowStop(i));
-            }
-        }
-        sim.schedule(Time::ZERO, Ev::Record);
-        sim
     }
 
     /// Builds the engine with a telemetry sink. The sink collects queue
@@ -416,9 +359,8 @@ impl Simulation {
     /// workspace-reuse counterpart of [`Simulation::with_telemetry`]
     /// (pair with [`Simulation::new_in`]).
     #[must_use]
-    pub fn with_telemetry_sink(mut self, tel: Telemetry) -> Self {
-        self.telemetry = Some(tel);
-        self
+    pub fn with_telemetry_sink(self, tel: Telemetry) -> Self {
+        Self { net: self.net.with_telemetry_sink(tel) }
     }
 
     /// Detaches the telemetry sink mid-run, leaving `None` behind.
@@ -428,23 +370,7 @@ impl Simulation {
     /// everything recorded so far (trace ring, open spans, metrics)
     /// from the wreckage.
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    fn schedule(&mut self, time: Time, ev: Ev) {
-        self.events.schedule(time, ev);
-    }
-
-    fn source_rate(&self, i: usize) -> f64 {
-        match &self.scheme {
-            SchemeState::Bcn { rps, .. } => rps[i].rate(),
-            SchemeState::Qcn { rps, .. } => rps[i].rate(),
-            SchemeState::None => self.cfg.flows[i].initial_rate,
-        }
-    }
-
-    fn aggregate_rate(&self) -> f64 {
-        (0..self.cfg.flows.len()).filter(|&i| self.active[i]).map(|i| self.source_rate(i)).sum()
+        self.net.take_telemetry()
     }
 
     /// Runs to completion and returns the report.
@@ -469,13 +395,9 @@ impl Simulation {
     /// runner so it can keep ownership of the engine while the step
     /// loop runs inside `catch_unwind`.
     #[must_use]
-    pub fn finish_into(mut self, ws: &mut SimWorkspace) -> SimReport {
-        let report = self.finalize();
-        self.queue.clear();
-        ws.events = std::mem::take(&mut self.events);
-        ws.queue = std::mem::take(&mut self.queue);
-        ws.fault_scratch = std::mem::take(&mut self.fault_scratch);
-        report
+    pub fn finish_into(self, ws: &mut SimWorkspace) -> SimReport {
+        let (metrics, final_rates, telemetry) = self.net.finish_observed(ws);
+        SimReport { metrics, final_rates, telemetry }
     }
 
     /// Dispatches the next event; returns `false` once the horizon is
@@ -483,466 +405,13 @@ impl Simulation {
     /// steady state (e.g. count allocations after warm-up) without
     /// giving up [`Simulation::finish`]'s report.
     pub fn step(&mut self) -> bool {
-        let Some((time, ev)) = self.events.pop() else { return false };
-        if time > self.cfg.t_end {
-            return false;
-        }
-        self.now = time;
-        self.dispatch(ev);
-        true
+        self.net.step()
     }
 
     /// Finalizes a stepped run (see [`Simulation::step`]) into a report.
     #[must_use]
-    pub fn finish(mut self) -> SimReport {
-        self.finalize()
-    }
-
-    fn finalize(&mut self) -> SimReport {
-        let final_rates = (0..self.cfg.flows.len()).map(|i| self.source_rate(i)).collect();
-        self.metrics.faults = self.faults.take_counts();
-        if let Some(tel) = self.telemetry.as_mut() {
-            let st = self.events.stats();
-            tel.scheduler_stats(
-                st.scheduled,
-                st.popped,
-                st.cascades,
-                st.overflow_parked,
-                st.max_pending,
-            );
-        }
-        SimReport {
-            metrics: std::mem::take(&mut self.metrics),
-            final_rates,
-            telemetry: self.telemetry.take(),
-        }
-    }
-
-    /// Closes flow `i`'s lifetime span, if one is open. Flows still
-    /// active at the horizon keep their span open — the open-span stack
-    /// is exactly "what was running", which is what the crash flight
-    /// recorder wants to capture.
-    fn end_flow_span(&mut self, i: usize) {
-        let id = std::mem::take(&mut self.flow_spans[i]);
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.span_end(self.now.as_secs(), id);
-        }
-    }
-
-    /// Emits a fault-injection telemetry event (counter + trace).
-    fn note_fault(&mut self, class: FaultClass, target: u32) {
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.fault_injected(self.now.as_secs(), class, target);
-        }
-    }
-
-    fn dispatch(&mut self, ev: Ev) {
-        match ev {
-            Ev::FlowStart(i) => {
-                self.active[i] = true;
-                if let Some(tel) = self.telemetry.as_mut() {
-                    let parent = tel.root_span();
-                    self.flow_spans[i] = tel.span_begin(
-                        self.now.as_secs(),
-                        SpanKind::FlowLifetime,
-                        i as u32,
-                        parent,
-                    );
-                }
-                if !self.sending_scheduled[i] {
-                    self.sending_scheduled[i] = true;
-                    // Deterministic per-source offset breaks simultaneity.
-                    self.schedule(self.now + Duration::from_nanos(i as u64 + 1), Ev::SourceSend(i));
-                }
-            }
-            Ev::FlowStop(i) => {
-                self.active[i] = false;
-                self.end_flow_span(i);
-            }
-            Ev::SourceSend(i) => self.on_source_send(i),
-            Ev::Arrival(frame) => self.on_arrival(frame),
-            Ev::Departure => self.on_departure(),
-            Ev::BcnDeliver(msg) => {
-                if let SchemeState::Bcn { rps, .. } = &mut self.scheme {
-                    // A corrupted DA can point outside the source set;
-                    // such misaddressed feedback dies on delivery.
-                    if let Some(rp) = rps.get_mut(msg.dst.0 as usize) {
-                        rp.on_bcn(&msg);
-                        self.metrics.feedback_messages += 1;
-                    }
-                }
-            }
-            Ev::QcnDeliver(fb) => {
-                if let SchemeState::Qcn { rps, .. } = &mut self.scheme {
-                    rps[fb.dst.0 as usize].on_feedback(&fb);
-                    self.metrics.feedback_messages += 1;
-                }
-            }
-            Ev::PauseDeliver { until } => {
-                self.pending_pauses -= 1;
-                for p in &mut self.paused_until {
-                    *p = (*p).max(until);
-                }
-            }
-            Ev::Record => {
-                self.record_just_fired = true;
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.queue_sample(self.now.as_secs(), self.q_bits);
-                }
-                self.metrics.queue.push(self.now, self.q_bits);
-                self.metrics.aggregate_rate.push(self.now, self.aggregate_rate());
-                for i in 0..self.cfg.flows.len() {
-                    let r = if self.active[i] { self.source_rate(i) } else { 0.0 };
-                    self.metrics.per_source_rate[i].push(self.now, r);
-                    let now = self.now.as_secs();
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.series_sample(SeriesKind::FlowRate, i as u32, now, r);
-                    }
-                }
-                if self.now + self.cfg.record_interval <= self.cfg.t_end {
-                    self.schedule(self.now + self.cfg.record_interval, Ev::Record);
-                }
-            }
-        }
-    }
-
-    fn on_source_send(&mut self, i: usize) {
-        if !self.active[i] {
-            self.sending_scheduled[i] = false;
-            return;
-        }
-        // Volume-limited (incast) flows end once their block is sent.
-        if let Some(volume) = self.cfg.flows[i].volume_bits {
-            if self.sent_bits[i] + self.cfg.frame_bits > volume {
-                self.active[i] = false;
-                self.sending_scheduled[i] = false;
-                self.end_flow_span(i);
-                return;
-            }
-        }
-        if self.paused_until[i] > self.now {
-            let resume = self.paused_until[i];
-            self.schedule(resume, Ev::SourceSend(i));
-            return;
-        }
-        let rrt = match &self.scheme {
-            SchemeState::Bcn { rps, .. } => rps[i].associated_cp(),
-            _ => None,
-        };
-        let frame = DataFrame { src: SourceId(i as u32), bits: self.cfg.frame_bits, rrt };
-        self.sent_bits[i] += self.cfg.frame_bits;
-        self.schedule(self.now + self.cfg.prop_delay, Ev::Arrival(frame));
-        if let SchemeState::Qcn { rps, .. } = &mut self.scheme {
-            rps[i].on_bits_sent(self.cfg.frame_bits);
-        }
-        let rate = self.source_rate(i).max(1.0);
-        let gap = Duration::serialization(self.cfg.frame_bits, rate);
-        self.schedule(self.now + gap, Ev::SourceSend(i));
-    }
-
-    fn on_arrival(&mut self, frame: DataFrame) {
-        if self.faults.is_active() && self.faults.data_frame_lost() {
-            self.note_fault(FaultClass::DataLoss, frame.src.0);
-            return;
-        }
-        if self.q_bits + frame.bits > self.cfg.buffer_bits {
-            self.metrics.dropped_frames += 1;
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.frame_dropped(self.now.as_secs(), frame.src.0);
-            }
-            return;
-        }
-        let prev_q = self.q_bits;
-        self.q_bits += frame.bits;
-        self.note_queue_threshold(prev_q);
-        self.queue.push_back((frame, self.now));
-        // Collect scheme reactions first, then schedule (borrow split).
-        let mut bcn_msg = None;
-        let mut qcn_fb = None;
-        let mut want_pause = false;
-        match &mut self.scheme {
-            SchemeState::Bcn { cp, .. } => {
-                bcn_msg = cp.on_arrival(&frame, self.q_bits);
-                want_pause = cp.should_pause(self.q_bits);
-            }
-            SchemeState::Qcn { cp, .. } => {
-                qcn_fb = cp.on_arrival(frame.src, self.q_bits);
-            }
-            SchemeState::None => {}
-        }
-        if let Some(msg) = bcn_msg {
-            // The scratch list is hoisted into the engine so the fault
-            // path allocates nothing per message (mem::take keeps the
-            // borrow checker happy across the note_fault calls).
-            let mut injected = std::mem::take(&mut self.fault_scratch);
-            let fate = self.faults.feedback_fate_into(&msg, &mut injected);
-            for &class in &injected {
-                self.note_fault(class, msg.dst.0);
-            }
-            injected.clear();
-            self.fault_scratch = injected;
-            if let FeedbackFate::Deliver { msg, extra } = fate {
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.bcn_message(self.now.as_secs(), msg.sigma, msg.dst.0);
-                }
-                self.schedule(self.now + self.cfg.prop_delay + extra, Ev::BcnDeliver(msg));
-            }
-        }
-        if let Some(fb) = qcn_fb {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.qcn_message(self.now.as_secs(), fb.fb, fb.dst.0);
-            }
-            self.schedule(self.now + self.cfg.prop_delay, Ev::QcnDeliver(fb));
-        }
-        if want_pause {
-            self.maybe_pause();
-        }
-        if !self.busy {
-            self.busy = true;
-            self.schedule_departure(frame.bits);
-        }
-    }
-
-    /// Schedules the next departure, deferring the service start past
-    /// any link-flap down window.
-    fn schedule_departure(&mut self, bits: f64) {
-        let mut start = self.now;
-        if self.faults.is_active() {
-            if let Some(up) = self.faults.link_up_at(self.now) {
-                self.note_fault(FaultClass::LinkFlap, 0);
-                start = up;
-            }
-        }
-        let service = Duration::serialization(bits, self.cfg.capacity);
-        self.schedule(start + service, Ev::Departure);
-    }
-
-    fn maybe_pause(&mut self) {
-        // Rate-limit PAUSE generation to one per hold interval.
-        let can_fire = match self.last_pause {
-            Some(t) => self.now.saturating_sub(t) >= self.cfg.pause_hold,
-            None => true,
-        };
-        if can_fire {
-            self.last_pause = Some(self.now);
-            self.metrics.pause_events += 1;
-            let (hold, stormed) = self.faults.pause_hold(self.cfg.pause_hold);
-            if stormed {
-                self.note_fault(FaultClass::PauseStorm, 0);
-            }
-            let deliver = self.now + self.cfg.prop_delay;
-            let until = deliver + hold;
-            if let Some(tel) = self.telemetry.as_mut() {
-                // PAUSE silences every source; port 0 stands for the
-                // bottleneck ingress. The deassert event is emitted
-                // eagerly, stamped with the scheduled expiry.
-                tel.pause(deliver.as_secs(), until.as_secs(), 0);
-            }
-            self.pending_pauses += 1;
-            self.schedule(deliver, Ev::PauseDeliver { until });
-        }
-    }
-
-    /// Emits a threshold-crossing event when the queue moves across the
-    /// BCN severe-congestion threshold `q_sc` (the PAUSE trigger level).
-    fn note_queue_threshold(&mut self, prev_q: f64) {
-        let Some(tel) = self.telemetry.as_mut() else { return };
-        let thr = match &self.cfg.control {
-            Control::Bcn { cp, .. } => cp.qsc_bits,
-            _ => return,
-        };
-        let q = self.q_bits;
-        if prev_q < thr && q >= thr {
-            tel.queue_threshold(self.now.as_secs(), q, thr, true);
-        } else if prev_q >= thr && q < thr {
-            tel.queue_threshold(self.now.as_secs(), q, thr, false);
-        }
-    }
-
-    fn on_departure(&mut self) {
-        let (frame, enqueued_at) = self.queue.pop_front().expect("departure from empty queue");
-        let prev_q = self.q_bits;
-        self.q_bits -= frame.bits;
-        self.note_queue_threshold(prev_q);
-        self.metrics.delivered_frames += 1;
-        self.metrics.delivered_bits += frame.bits;
-        self.metrics.per_source_bits[frame.src.0 as usize] += frame.bits;
-        self.metrics.queueing_delay.push(self.now.saturating_sub(enqueued_at).as_secs());
-        if let SchemeState::Bcn { cp, .. } = &mut self.scheme {
-            cp.on_departure(frame.bits);
-        }
-        if let Some((next, _)) = self.queue.front() {
-            let bits = next.bits;
-            self.schedule_departure(bits);
-        } else {
-            self.busy = false;
-        }
-    }
-}
-
-/// Hooks for the hybrid co-simulator (`crate::hybrid`): record-grid
-/// epoch marks, fluid-state extraction, and fluid→packet re-seeding.
-/// All crate-private — the engine's public surface stays event-driven.
-impl Simulation {
-    /// Consumes the "a `Record` event just dispatched" mark. The hybrid
-    /// epoch controller runs exactly at record-grid ticks so that every
-    /// fast-forward span is an integer number of record intervals and
-    /// the sampled series stay grid-dense and comparable.
-    pub(crate) fn take_record_mark(&mut self) -> bool {
-        std::mem::take(&mut self.record_just_fired)
-    }
-
-    /// Current simulation time.
-    pub(crate) fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The run configuration.
-    pub(crate) fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The telemetry sink, if attached.
-    pub(crate) fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Projects the packet state onto the fluid coordinates: exact queue
-    /// occupancy (bits) and the aggregate regulator rate (bit/s), summed
-    /// over active flows in index order. The hybrid engine adds its
-    /// re-seed residue to make the projection round-trip bit-exactly.
-    pub(crate) fn fluid_state(&self) -> [f64; 2] {
-        [self.q_bits, self.aggregate_rate()]
-    }
-
-    /// Whether the run is in a state the fluid model can stand in for:
-    /// fluid-calibrated BCN control (no FB quantizer, ungated positive
-    /// feedback), no fault injection, no PAUSE asserted or in flight,
-    /// and a steady homogeneous workload (every flow active, none
-    /// volume-limited or scheduled to stop). Everything here is a
-    /// *structural* guard; the dynamic guards (switching-line distance,
-    /// queue margins) live in the epoch controller.
-    pub(crate) fn hybrid_quiescent(&self) -> bool {
-        let scheme_ok = match &self.scheme {
-            SchemeState::Bcn { cp, .. } => {
-                let c = cp.config();
-                c.fb_quant.is_none() && !c.gate_positive
-            }
-            _ => false,
-        };
-        scheme_ok
-            && !self.cfg.faults.enabled()
-            && self.pending_pauses == 0
-            && self.paused_until.iter().all(|&p| p <= self.now)
-            && self.active.iter().all(|&a| a)
-            && self.cfg.flows.iter().all(|f| f.stop.is_none() && f.volume_bits.is_none())
-    }
-
-    /// Pushes one fluid-integrated record-grid sample, mirroring the
-    /// `Record` dispatch arm (queue gauge, metrics series, per-flow rate
-    /// series at the fluid fair share) so fast-forwarded stretches stay
-    /// sample-for-sample comparable with packet-simulated ones.
-    pub(crate) fn hybrid_record_sample(&mut self, t: Time, q_bits: f64, w_agg: f64) {
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.queue_sample(t.as_secs(), q_bits);
-        }
-        self.metrics.queue.push(t, q_bits);
-        self.metrics.aggregate_rate.push(t, w_agg);
-        let per = w_agg / self.cfg.flows.len() as f64;
-        for i in 0..self.cfg.flows.len() {
-            self.metrics.per_source_rate[i].push(t, per);
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.series_sample(SeriesKind::FlowRate, i as u32, t.as_secs(), per);
-            }
-        }
-    }
-
-    /// Credits delivery totals for a fast-forwarded span: with the
-    /// epoch guards holding, `0 < q` throughout, so the server runs at
-    /// capacity and exactly `C * secs` bits leave the queue (the fluid
-    /// identity `outflow = inflow - dq`). Split evenly across sources
-    /// (the workload is homogeneous under the guards); per-frame
-    /// queueing-delay samples do not accrue inside an epoch.
-    pub(crate) fn hybrid_credit_delivery(&mut self, secs: f64) {
-        let bits = self.cfg.capacity * secs;
-        self.metrics.delivered_bits += bits;
-        self.metrics.delivered_frames += (bits / self.cfg.frame_bits).round() as u64;
-        let per = bits / self.cfg.flows.len() as f64;
-        for b in &mut self.metrics.per_source_bits {
-            *b += per;
-        }
-    }
-
-    /// Re-seeds the packet engine from fluid state at an epoch boundary
-    /// `t`: regulator rates to the fair share of `w_agg` (clamped),
-    /// queue occupancy to exactly `q_bits` (FIFO rebuilt as whole frames
-    /// round-robin across sources plus one partial-frame remainder),
-    /// congestion-point sampling interval restarted, and the event set
-    /// re-populated (per-source sends, the departure of the queue head,
-    /// the next record tick) through the stats-preserving
-    /// [`EventQueue::clear_pending`] so the wheel's slab arena is
-    /// reused. In-flight events discarded here — frames and feedback
-    /// already on the wire — are the documented divergence budget of an
-    /// epoch switch.
-    ///
-    /// Returns the rate residue `w_agg - sum(clamped rates)`; adding it
-    /// back to [`Simulation::fluid_state`]'s aggregate reproduces
-    /// `w_agg` bit-exactly (Sterbenz: the sum is within a factor of two
-    /// of `w_agg`).
-    pub(crate) fn reseed_fluid(&mut self, t: Time, q_bits: f64, w_agg: f64) -> f64 {
-        self.now = t;
-        let n = self.cfg.flows.len();
-        let base = w_agg / n as f64;
-        {
-            let SchemeState::Bcn { cp, rps } = &mut self.scheme else {
-                unreachable!("hybrid re-seed requires BCN control (guarded)");
-            };
-            for rp in rps.iter_mut() {
-                rp.set_rate(base);
-            }
-            cp.restart_interval();
-        }
-        self.queue.clear();
-        self.q_bits = q_bits;
-        let frame_bits = self.cfg.frame_bits;
-        let full = (q_bits / frame_bits).floor() as usize;
-        let rem = q_bits - full as f64 * frame_bits;
-        {
-            let SchemeState::Bcn { rps, .. } = &self.scheme else { unreachable!() };
-            for j in 0..full {
-                let src = j % n;
-                let frame = DataFrame {
-                    src: SourceId(src as u32),
-                    bits: frame_bits,
-                    rrt: rps[src].associated_cp(),
-                };
-                self.queue.push_back((frame, t));
-            }
-            if rem > 0.0 {
-                let src = full % n;
-                let frame = DataFrame {
-                    src: SourceId(src as u32),
-                    bits: rem,
-                    rrt: rps[src].associated_cp(),
-                };
-                self.queue.push_back((frame, t));
-            }
-        }
-        self.events.clear_pending();
-        self.pending_pauses = 0;
-        self.busy = !self.queue.is_empty();
-        if let Some((first, _)) = self.queue.front() {
-            let bits = first.bits;
-            self.schedule_departure(bits);
-        }
-        for i in 0..n {
-            self.sending_scheduled[i] = true;
-            self.schedule(t + Duration::from_nanos(i as u64 + 1), Ev::SourceSend(i));
-        }
-        if t + self.cfg.record_interval <= self.cfg.t_end {
-            self.schedule(t + self.cfg.record_interval, Ev::Record);
-        }
-        w_agg - self.aggregate_rate()
+    pub fn finish(self) -> SimReport {
+        self.finish_into(&mut SimWorkspace::new())
     }
 }
 

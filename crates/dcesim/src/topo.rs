@@ -539,6 +539,9 @@ impl Traffic {
             initial_rate: rate,
             rp: None,
             priority: 0,
+            start: Time::ZERO,
+            stop: None,
+            volume_bits: None,
         };
         match *self {
             Traffic::Incast { senders, dst, load } => {
@@ -630,6 +633,8 @@ pub fn compile(spec: &TopoSpec, traffic: &Traffic, t_end: f64) -> Result<NetConf
         },
         faults: FaultConfig::none(),
         scheduler: Scheduler::default(),
+        observe: None,
+        pacing_jitter: true,
     })
 }
 
