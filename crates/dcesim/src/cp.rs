@@ -177,12 +177,6 @@ impl CongestionPoint {
         let send = sigma < 0.0 || (sigma > 0.0 && positive_allowed);
         send.then_some(BcnMessage { dst: frame.src, cpid: self.cfg.cpid, sigma })
     }
-
-    /// Whether the queue occupancy warrants an 802.3x PAUSE.
-    #[must_use]
-    pub fn should_pause(&self, q_bits: f64) -> bool {
-        q_bits > self.cfg.qsc_bits
-    }
 }
 
 #[cfg(test)]
@@ -269,13 +263,6 @@ mod tests {
         let _ = cp.on_arrival(&frame(3, None), 20_000.0);
         let second = cp.on_arrival(&frame(4, None), 20_000.0).expect("sample 2");
         assert_eq!(first.sigma, second.sigma, "interval counters must reset");
-    }
-
-    #[test]
-    fn pause_threshold() {
-        let cp = CongestionPoint::new(cfg());
-        assert!(!cp.should_pause(39_000.0));
-        assert!(cp.should_pause(41_000.0));
     }
 
     #[test]

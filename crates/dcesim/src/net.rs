@@ -1,43 +1,31 @@
-//! The packet engine: hosts, output-queued switches and links, with
-//! per-port congestion points (BCN or QCN), end-to-end reaction points,
-//! per-link 802.3x PAUSE (or per-class PFC), fault injection and the
-//! timing-wheel event loop.
+//! The packet engine: hosts, output-queued switches and links, per-port
+//! BCN or QCN congestion points, end-to-end reaction points, 802.3x
+//! PAUSE (or per-class PFC), fault injection and the event loop. Every
+//! packet-level run goes through [`NetSim`]: the paper's Fig. 1 dumbbell
+//! is its one-switch case ([`crate::sim`] lowers a
+//! [`SimConfig`](crate::sim::SimConfig) to a [`NetConfig`]), the
+//! [`crate::topo`] fabrics and the [`victim_topology`] /
+//! [`parking_lot_topology`] chains its multi-hop cases.
 //!
-//! Every packet-level run in the workspace goes through [`NetSim`]. The
-//! paper's Fig. 1 dumbbell is its one-switch case: [`crate::sim`] lowers
-//! a [`SimConfig`](crate::sim::SimConfig) to a [`NetConfig`] with one
-//! switch, zero-serialization uplinks and the bottleneck as the one
-//! observed port, and wraps this engine in the dumbbell front end. The
-//! generator fabrics of [`crate::topo`] and the switch chains below
-//! ([`victim_topology`], [`parking_lot_topology`]) are its multi-hop
-//! cases.
-//!
-//! # Model
-//!
-//! * **Sources.** Each flow starts at its start time, paces fixed-size
-//!   frames at its reaction point's rate (optionally with ±2%
-//!   deterministic jitter), stops at its stop time or once its volume is
-//!   sent, and holds while its access link is paused.
-//! * **Ports.** A switch queues each frame at the output port its route
-//!   names, one FIFO per 802.1p class served round-robin. A frame counts
-//!   against its port's buffer until its serialization ends; the
-//!   departure event then forwards it (delivering it inline when the
-//!   next hop is its destination over a zero-delay link).
-//! * **Feedback.** A port's congestion point samples arrivals and sends
-//!   BCN messages or QCN feedback back to the sampled frame's source,
-//!   delayed by the flow's forward path delay; BCN messages pass the
-//!   fault layer first.
-//! * **PAUSE.** When a port's backlog (its class backlog under PFC)
+//! * **Sources** start and stop on schedule (or once their volume is
+//!   sent), pace frames at their reaction point's rate (optionally with
+//!   ±2% deterministic jitter), and hold while their access link is
+//!   paused.
+//! * **Ports** queue one FIFO per 802.1p class, served round-robin. A
+//!   frame counts against its port's buffer until its serialization
+//!   ends; the departure then forwards it, inline when the next hop is
+//!   its destination over a zero-delay link.
+//! * **Feedback** from a port's congestion point reaches the sampled
+//!   frame's source after the flow's forward path delay; BCN messages
+//!   pass the fault layer first.
+//! * **PAUSE**: when a port's backlog (its class backlog under PFC)
 //!   passes the switch's `qsc_bits`, the switch pauses every incoming
-//!   link for one hold, at most once per hold. The paper's Introduction
-//!   motivates BCN with exactly this: PAUSE "cannot properly alleviate
-//!   congestion ... because the congestion can roll back from switch to
-//!   switch", and the victim and parking-lot chains make the claim
-//!   testable (see the `exp_pause_hol` experiment).
+//!   link for one hold, at most once per hold — the roll-back "from
+//!   switch to switch" the paper's Introduction blames on PAUSE (see
+//!   the `exp_pause_hol` experiment).
 //!
-//! Runs are deterministic: integer-nanosecond timestamps, a stable
-//! tie-break sequence number and seeded fault streams make every run
-//! reproducible bit for bit, on either scheduler backend.
+//! Runs are deterministic (integer-nanosecond time, stable tie-breaks,
+//! seeded faults) and bit-identical on either scheduler backend.
 
 use std::collections::VecDeque;
 
@@ -88,20 +76,6 @@ pub enum CpSpec {
     Qcn(QcnCpConfig),
 }
 
-impl CpSpec {
-    /// Validates the wrapped configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the wrapped configuration's [`ConfigError`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            CpSpec::Bcn(c) => c.validate(),
-            CpSpec::Qcn(c) => c.validate(),
-        }
-    }
-}
-
 /// A reaction-point configuration matching [`CpSpec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RpSpec {
@@ -109,20 +83,6 @@ pub enum RpSpec {
     Bcn(RpConfig),
     /// QCN regulator: feedback-driven decrease, byte-counter recovery.
     Qcn(QcnRpConfig),
-}
-
-impl RpSpec {
-    /// Validates the wrapped configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the wrapped configuration's [`ConfigError`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            RpSpec::Bcn(c) => c.validate(),
-            RpSpec::Qcn(c) => c.validate(),
-        }
-    }
 }
 
 /// One switch (output-queued: each output port has its own buffer).
@@ -236,13 +196,18 @@ impl NetConfig {
         for (si, sw) in self.switches.iter().enumerate() {
             check_buffer(si, sw.buffer_bits, self.frame_bits)?;
             for (_, cp) in &sw.cps {
-                cp.validate()?;
+                match cp {
+                    CpSpec::Bcn(c) => c.validate()?,
+                    CpSpec::Qcn(c) => c.validate()?,
+                }
             }
         }
         for (i, f) in self.flows.iter().enumerate() {
             check_flow(i, f.initial_rate, f.volume_bits, f.priority)?;
-            if let Some(rp) = &f.rp {
-                rp.validate()?;
+            match &f.rp {
+                Some(RpSpec::Bcn(c)) => c.validate()?,
+                Some(RpSpec::Qcn(c)) => c.validate()?,
+                None => {}
             }
         }
         check_record_interval(self.record_interval)?;

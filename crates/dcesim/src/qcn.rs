@@ -54,8 +54,8 @@ impl QcnCpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] on a non-positive `q_eq`, a non-finite
-    /// or negative `w`, or a zero sampling divisor.
+    /// A [`ConfigError`] on a non-positive `q_eq`, a negative `w` or a
+    /// zero sampling divisor.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.q_eq_bits.is_finite() && self.q_eq_bits > 0.0) {
             return Err(ConfigError::new("cp.q_eq_bits", "q_eq must be positive"));
@@ -75,11 +75,12 @@ impl QcnCp {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive `q_eq` or zero sampling divisor.
+    /// Panics on an invalid configuration (see [`QcnCpConfig::validate`]).
     #[must_use]
     pub fn new(cfg: QcnCpConfig) -> Self {
-        assert!(cfg.q_eq_bits > 0.0, "q_eq must be positive");
-        assert!(cfg.sample_every >= 1, "sampling divisor must be at least 1");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         // The standard's quantization scale: |Fb| maxes out at
         // q_eq (2 w + 1) — queue at 2 q_eq and rising at full tilt.
         let fb_max = cfg.q_eq_bits * (2.0 * cfg.w + 1.0);
@@ -153,8 +154,8 @@ impl QcnRpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] on a decrease gain outside `(0, 1]`, an
-    /// empty rate range, or a non-positive byte-counter limit.
+    /// A [`ConfigError`] on a decrease gain outside `(0, 1]`, an empty
+    /// rate range, or a non-positive byte-counter limit.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.gd > 0.0 && self.gd <= 1.0) {
             return Err(ConfigError::new("rp.gd", "gd must lie in (0, 1]"));
@@ -171,11 +172,6 @@ impl QcnRpConfig {
                 "rp.bc_limit_bits",
                 "byte-counter limit must be positive",
             ));
-        }
-        for (field, v) in [("rp.r_ai", self.r_ai), ("rp.r_hai", self.r_hai)] {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(ConfigError::new(field, "increase step must be non-negative"));
-            }
         }
         Ok(())
     }
@@ -211,12 +207,12 @@ impl QcnRp {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration.
+    /// Panics on an invalid configuration (see [`QcnRpConfig::validate`]).
     #[must_use]
     pub fn new(cfg: QcnRpConfig, initial_rate: f64) -> Self {
-        assert!(cfg.gd > 0.0 && cfg.gd <= 1.0, "gd must lie in (0, 1]");
-        assert!(cfg.r_min > 0.0 && cfg.r_min < cfg.r_max, "need 0 < r_min < r_max");
-        assert!(cfg.bc_limit_bits > 0.0, "byte-counter limit must be positive");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let rate = initial_rate.clamp(cfg.r_min, cfg.r_max);
         Self {
             cfg,

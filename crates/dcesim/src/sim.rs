@@ -10,7 +10,7 @@
 //! (another propagation delay). Under BCN, above `q_sc` the switch
 //! PAUSEs all sources for a hold time (IEEE 802.3x).
 //!
-//! [`SimConfig::lower`] expresses exactly that as a one-switch
+//! `SimConfig::lower` expresses exactly that as a one-switch
 //! [`NetConfig`]: one zero-serialization uplink per source carrying the
 //! propagation delay, the bottleneck as the switch's only output port
 //! (zero-delay link to the sink, observed for [`SimMetrics`]), no pacing
@@ -191,7 +191,7 @@ impl SimConfig {
     /// travel back in one. Pacing jitter is off and PAUSE is armed only
     /// under BCN, at the congestion point's `q_sc`.
     #[must_use]
-    pub fn lower(&self) -> NetConfig {
+    pub(crate) fn lower(&self) -> NetConfig {
         let n = self.flows.len();
         let mut links = vec![LinkSpec {
             from: Endpoint::Switch(0),
