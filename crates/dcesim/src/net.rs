@@ -342,6 +342,8 @@ struct FlowRt {
 struct NetFrame {
     bits: f64,
     rrt: Option<CpId>,
+    /// When the frame joined its current port's queue.
+    enqueued: Time,
     flow: u32,
     priority: u8,
 }
@@ -477,8 +479,6 @@ struct Observed {
 /// itself so the frame path reaches it through the port it already
 /// holds.
 struct PortObs {
-    /// Enqueue time of every queued frame, per class.
-    enqueued: [VecDeque<Time>; N_PRIORITIES],
     delivered_frames: u64,
     delivered_bits: f64,
     queueing_delay: SampleSet,
@@ -779,8 +779,7 @@ impl NetSim {
                         format!("observed link {link} is not a switch output port"),
                     ));
                 };
-                let (observed, port_obs) =
-                    Observed::new(&cfg, si, pi, switches[si].spec.buffer_bits, records);
+                let (observed, port_obs) = Observed::new(&cfg, si, pi, records);
                 ports[pi].obs = Some(Box::new(port_obs));
                 Some(observed)
             }
@@ -1163,7 +1162,8 @@ impl NetSim {
             Some(Rp::Bcn(rp)) => rp.associated_cp(),
             _ => None,
         };
-        let frame = NetFrame { bits: frame_bits, rrt, flow: fi as u32, priority };
+        let frame =
+            NetFrame { bits: frame_bits, rrt, enqueued: self.now, flow: fi as u32, priority };
         self.sent_bits[fi] += frame_bits;
         self.send_over(to, access_delay, frame);
         if let Some(Rp::Qcn(rp)) = &mut self.rps[fi] {
@@ -1255,7 +1255,7 @@ impl NetSim {
         // Enqueue into the frame's priority class.
         let cls = usize::from(frame.priority);
         let df = DataFrame { src: SourceId(frame.flow), bits: frame.bits, rrt: frame.rrt };
-        port.enqueue(frame);
+        port.enqueue(NetFrame { enqueued: now, ..frame });
         let (port_backlog, class_backlog, qsc) =
             (port.backlog, port.class_backlog[cls], port.qsc_bits);
         let mut bcn = None;
@@ -1265,13 +1265,7 @@ impl NetSim {
             Some(Cp::Qcn(cp)) => qcn = cp.on_arrival(df.src, port_backlog),
             None => {}
         }
-        let observed = match &mut port.obs {
-            Some(o) => {
-                o.enqueued[cls].push_back(now);
-                true
-            }
-            None => false,
-        };
+        let observed = port.obs.is_some();
         let pi = pi as usize;
         if observed {
             self.note_threshold(pi, prev, port_backlog);
@@ -1427,10 +1421,9 @@ impl NetSim {
             cp.on_departure(frame.bits);
         }
         if let Some(o) = &mut port.obs {
-            let enqueued = o.enqueued[usize::from(frame.priority)].pop_front().unwrap_or(now);
             o.delivered_frames += 1;
             o.delivered_bits += frame.bits;
-            o.queueing_delay.push(now.saturating_sub(enqueued).as_secs());
+            o.queueing_delay.push(now.saturating_sub(frame.enqueued).as_secs());
             self.note_threshold(pi, prev, q);
         }
         match to {
@@ -1444,22 +1437,15 @@ impl NetSim {
 }
 
 impl Observed {
-    fn new(
-        cfg: &NetConfig,
-        switch: usize,
-        port: usize,
-        buffer: f64,
-        records: usize,
-    ) -> (Self, PortObs) {
+    fn new(cfg: &NetConfig, switch: usize, port: usize, records: usize) -> (Self, PortObs) {
         let n = cfg.flows.len();
         // Size every buffer that grows with the run up front, so the
         // steady state allocates nothing (`tests/zero_alloc.rs` gates
-        // on this): a port holds at most a buffer of frames, the series
-        // one sample per record tick, and the delay samples one per
+        // on this): the series one sample per record tick, the delay
+        // samples one per
         // deliverable frame (capped — pathological horizons fall back
         // to amortized growth rather than huge up-front reserves).
         let link = cfg.observe.expect("observed port");
-        let frames = (buffer / cfg.frame_bits).ceil() as usize + 2;
         let deliverable =
             (cfg.t_end.as_secs() * cfg.links[link].capacity / cfg.frame_bits).ceil().min(1e6);
         let mut metrics = SimMetrics::default();
@@ -1470,12 +1456,7 @@ impl Observed {
         for series in &mut metrics.per_source_rate {
             series.reserve(records);
         }
-        let enqueued = std::array::from_fn(|cls| {
-            let used = cfg.flows.iter().any(|f| usize::from(f.priority) == cls);
-            VecDeque::with_capacity(if used { frames } else { 0 })
-        });
-        let port_obs =
-            PortObs { enqueued, delivered_frames: 0, delivered_bits: 0.0, queueing_delay };
+        let port_obs = PortObs { delivered_frames: 0, delivered_bits: 0.0, queueing_delay };
         (Self { switch, port, metrics }, port_obs)
     }
 }
@@ -1615,11 +1596,7 @@ impl NetSim {
         if let Some(Cp::Bcn(cp)) = port.cp.as_deref_mut() {
             cp.restart_interval();
         }
-        let obs = port.obs.as_mut().expect("the observed port carries its observables");
         for q in &mut port.queues {
-            q.clear();
-        }
-        for q in &mut obs.enqueued {
             q.clear();
         }
         let rrt = |src: usize| match &self.rps[src] {
@@ -1631,8 +1608,8 @@ impl NetSim {
             if bits > 0.0 {
                 let src = j % n;
                 let (flow, priority) = (src as u32, cls as u8);
-                port.queues[cls].push_back(NetFrame { bits, rrt: rrt(src), flow, priority });
-                obs.enqueued[cls].push_back(t);
+                let frame = NetFrame { bits, rrt: rrt(src), enqueued: t, flow, priority };
+                port.queues[cls].push_back(frame);
             }
         }
         // Exactly `q_bits`, not the sum of the rebuilt frames.
