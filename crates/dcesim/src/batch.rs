@@ -32,10 +32,11 @@
 //!   restores acknowledged seeds bit-exactly on resume, so the merged
 //!   report after a crash equals an uninterrupted run byte for byte.
 //!
-//! One runner supervises both packet engines. [`BatchConfig`] (the
+//! One runner supervises both batch kinds. [`BatchConfig`] (the
 //! single-bottleneck dumbbell, packet or hybrid) and [`NetBatchConfig`]
 //! (a compiled multi-hop fabric) implement [`SeedBatch`]; their engines
-//! implement [`BatchEngine`], and their reports [`SeedReport`].
+//! (both [`crate::net::NetSim`] underneath) implement [`BatchEngine`],
+//! and their reports [`SeedReport`].
 
 use telemetry::{SpanKind, Telemetry, TelemetryLevel};
 
@@ -826,8 +827,8 @@ pub fn replay(spec: &ReplaySpec) -> Result<String, ReplayMismatch> {
 /// sized for generator-built fabrics ([`crate::topo`]) with thousands
 /// of hosts.
 ///
-/// Network flows carry no start time, so only initial rates are
-/// jittered, and there is no retry ladder (the engine is deterministic,
+/// Only initial rates are jittered (compiled fabrics start every flow
+/// at time zero), and there is no retry ladder (the engine is deterministic,
 /// so a failed seed fails identically on every retry). Everything else
 /// — seeds fanned out across the `parkit` pool, telemetry shards merged
 /// in seed order, panic quarantine, watchdog demotion,
